@@ -78,6 +78,8 @@ class RunConfig:
 def _resolve_algebra(config: RunConfig) -> LieAlgebra:
     if config.algebra is None:
         raise UsageError("an algebra is required (--algebra <name|path>)")
+    if config.size is not None and config.algebra != "heisenberg":
+        raise UsageError("--n applies only to --algebra heisenberg")
     if config.algebra in ("sl2r", "so3"):
         return builtin(config.algebra)
     if config.algebra == "heisenberg":

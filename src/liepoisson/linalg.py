@@ -1,20 +1,26 @@
 """Exact linear algebra over the rationals.
 
-Vectors are lists of ``Fraction``; matrices are lists of row vectors.
-Elimination is fraction-free: rows are scaled to integers, and pivoting uses
-the two-row cross-multiplication update with an exact division by the
-previous pivot (Bareiss), which keeps intermediate entries bounded by minors
-of the input instead of blowing up like naive rational arithmetic.
+The public API takes and returns dense vectors (lists of ``Fraction``) and
+matrices (lists of row vectors).  Underneath is one sparse, fraction-free
+elimination engine, ``RowBasis``: each row is a ``dict`` from column to its
+nonzero integer entry, scaled to coprime integers.  A vector is reduced by
+repeatedly clearing its leading column with the stored row pivoted there,
+using the cross-multiplication ``b*row - a*stored`` followed by division by
+the gcd of the entries, so only nonzero entries are ever touched and no
+rational arithmetic happens until results are read out.  Pivots are always
+the leading column, so the reduced echelon form, its pivot set, the
+solution with free variables zero and the kernel basis are canonical.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
+Row = dict[int, int]
 
 
 def _check_rectangular(m: Sequence[Sequence[Fraction]]) -> int:
@@ -28,74 +34,112 @@ def _check_rectangular(m: Sequence[Sequence[Fraction]]) -> int:
     return cols
 
 
-def _int_row(row: Iterable[Fraction | int]) -> list[int]:
-    """Scale a rational row by the lcm of its denominators."""
-    frs = [Fraction(a) for a in row]
-    scale = 1
-    for a in frs:
-        d = a.denominator
-        scale = scale // gcd(scale, d) * d
-    return [int(a * scale) for a in frs]
-
-
-def _content_reduce(row: list[int]) -> None:
-    """Divide an integer row by the gcd of its entries, in place."""
-    g = 0
-    for a in row:
-        g = gcd(g, a)
-        if g == 1:
-            return
+def _content_reduce(row: Row) -> Row:
+    """Divide a sparse integer row by the gcd of its entries."""
+    g = gcd(*row.values())
     if g > 1:
-        for i, a in enumerate(row):
-            row[i] = a // g
+        return {j: a // g for j, a in row.items()}
+    return row
 
 
-def _exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("fraction-free elimination produced a non-exact division")
-    return q
+def _sparse(vec: Iterable[Fraction | int]) -> Row:
+    """Nonzero entries of a rational vector, scaled to coprime integers."""
+    nonzero = {j: a for j, a in enumerate(vec) if a}
+    scale = lcm(*(a.denominator for a in nonzero.values()))
+    return _content_reduce({j: a.numerator * (scale // a.denominator) for j, a in nonzero.items()})
 
 
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Reduce integer rows to echelon form in place.
+def _eliminate(row: Row, pivot_row: Row, col: int) -> Row:
+    """Clear ``row[col]`` with ``pivot_row`` by fraction-free cross-multiplication."""
+    g = gcd(row[col], pivot_row[col])
+    a, b = row[col] // g, pivot_row[col] // g
+    out = {j: b * v for j, v in row.items()}
+    for j, v in pivot_row.items():
+        w = out.get(j, 0) - a * v
+        if w:
+            out[j] = w
+        else:
+            del out[j]
+    return _content_reduce(out)
 
-    Returns the rows together with the list of pivot columns.  The update
-    ``(piv*a[i][j] - a[i][c]*a[r][j]) / prev`` is exact by the Sylvester
-    determinant identity, also when pivot columns are skipped.
+
+class RowBasis:
+    """Incrementally maintained row space with exact membership queries.
+
+    Rows are sparse integer rows keyed by their pivot, which is always the
+    row's leading column; insertion and membership reduce a vector against
+    them until its leading column is not a pivot or it vanishes.
     """
-    if not rows:
-        return rows, []
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(n_cols):
-        pr = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, n_rows):
-            ric = rows[i][c]
-            row_i, row_r = rows[i], rows[r]
-            for j in range(c, n_cols):
-                row_i[j] = _exact_div(piv * row_i[j] - ric * row_r[j], prev)
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return rows, pivots
+
+    def __init__(self, width: int):
+        self.width = width
+        self._rows: dict[int, Row] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def _reduce(self, row: Row) -> Row:
+        """Residual of a sparse row; empty exactly when it lies in the span."""
+        rows = self._rows
+        while row:
+            p = min(row)
+            stored = rows.get(p)
+            if stored is None:
+                break
+            row = _eliminate(row, stored, p)
+        return row
+
+    def _add(self, row: Row) -> bool:
+        row = self._reduce(row)
+        if not row:
+            return False
+        self._rows[min(row)] = row
+        return True
+
+    def _rref(self) -> dict[int, Row]:
+        """Back-substituted rows in pivot order: zero in every other pivot column."""
+        done: dict[int, Row] = {}
+        for p in sorted(self._rows, reverse=True):
+            row = self._rows[p]
+            for q in [j for j in row if j in done]:
+                row = _eliminate(row, done[q], q)
+            done[p] = row
+        return dict(sorted(done.items()))
+
+    def _row(self, vec: Sequence[Fraction | int]) -> Row:
+        if len(vec) != self.width:
+            raise ValueError(f"vector length {len(vec)} does not match width {self.width}")
+        return _sparse(vec)
+
+    def insert(self, vec: Sequence[Fraction | int]) -> bool:
+        """Add a vector; return True if it enlarged the span."""
+        return self._add(self._row(vec))
+
+    def contains(self, vec: Sequence[Fraction | int]) -> bool:
+        return not self._reduce(self._row(vec))
+
+    def reduced_rows(self) -> Matrix:
+        """Canonical reduced echelon basis (pivot entries 1, zeros above)."""
+        out: Matrix = []
+        for p, row in self._rref().items():
+            vec = [Fraction(0)] * self.width
+            for j, a in row.items():
+                vec[j] = Fraction(a, row[p])
+            out.append(vec)
+        return out
+
+
+def _basis_of(rows: Iterable[Sequence[Fraction]], width: int) -> RowBasis:
+    rb = RowBasis(width)
+    for row in rows:
+        rb._add(_sparse(row))
+    return rb
 
 
 def rank(m: Matrix) -> int:
     """Exact rank of a rational matrix."""
-    _check_rectangular(m)
-    rows = [_int_row(row) for row in m]
-    _, pivots = _bareiss_echelon(rows)
-    return len(pivots)
+    return _basis_of(m, _check_rectangular(m)).rank
 
 
 def in_span(v: Sequence[Fraction], basis: Matrix) -> bool:
@@ -103,10 +147,7 @@ def in_span(v: Sequence[Fraction], basis: Matrix) -> bool:
     cols = _check_rectangular(basis)
     if basis and len(v) != cols:
         raise ValueError(f"vector length {len(v)} does not match basis width {cols}")
-    rb = RowBasis(len(v))
-    for row in basis:
-        rb.insert(row)
-    return rb.contains(v)
+    return not _basis_of(basis, len(v))._reduce(_sparse(v))
 
 
 def solve_linear(a: Matrix, b: Sequence[Fraction]) -> Vector | None:
@@ -119,18 +160,12 @@ def solve_linear(a: Matrix, b: Sequence[Fraction]) -> Vector | None:
         raise ValueError(f"right-hand side length {len(b)} does not match row count {len(a)}")
     if not a:
         return []
-    aug = [_int_row(list(row) + [bv]) for row, bv in zip(a, b)]
-    rows, pivots = _bareiss_echelon(aug)
-    if pivots and pivots[-1] == n:
+    rb = _basis_of(([*row, bv] for row, bv in zip(a, b)), n + 1)
+    if n in rb._rows:
         return None
     x: Vector = [Fraction(0)] * n
-    for r in reversed(range(len(pivots))):
-        c = pivots[r]
-        s = Fraction(rows[r][n])
-        for j in range(c + 1, n):
-            if rows[r][j] and x[j]:
-                s -= rows[r][j] * x[j]
-        x[c] = s / rows[r][c]
+    for p, row in rb._rref().items():
+        x[p] = Fraction(row.get(n, 0), row[p])
     return x
 
 
@@ -139,24 +174,17 @@ def nullspace(a: Matrix) -> list[Vector]:
     n = _check_rectangular(a)
     if not a:
         return []
-    rows = [_int_row(row) for row in a]
-    rows, pivots = _bareiss_echelon(rows)
-    pivot_set = set(pivots)
-    basis: list[Vector] = []
+    rref = _basis_of(a, n)._rref()
+    kernel: dict[int, Vector] = {}
     for fc in range(n):
-        if fc in pivot_set:
-            continue
-        x: Vector = [Fraction(0)] * n
-        x[fc] = Fraction(1)
-        for r in reversed(range(len(pivots))):
-            c = pivots[r]
-            s = Fraction(0)
-            for j in range(c + 1, n):
-                if rows[r][j] and x[j]:
-                    s -= rows[r][j] * x[j]
-            x[c] = s / rows[r][c]
-        basis.append(x)
-    return basis
+        if fc not in rref:
+            kernel[fc] = [Fraction(0)] * n
+            kernel[fc][fc] = Fraction(1)
+    for p, row in rref.items():
+        for j, c in row.items():
+            if j != p:
+                kernel[j][p] = Fraction(-c, row[p])
+    return list(kernel.values())
 
 
 def reduce_vector(v: Sequence[Fraction], rows: Sequence[Sequence[Fraction]]) -> Vector:
@@ -166,10 +194,13 @@ def reduce_vector(v: Sequence[Fraction], rows: Sequence[Sequence[Fraction]]) -> 
     the residual is zero exactly when ``v`` lies in their span.
     """
     vec = [Fraction(a) for a in v]
+    start = 0
     for row in rows:
-        p = next((j for j, a in enumerate(row) if a), None)
+        # Leading positions increase, so each search resumes past the last one.
+        p = next((j for j in range(start, len(row)) if row[j]), None)
         if p is None:
             continue
+        start = p + 1
         if vec[p]:
             factor = vec[p] / row[p]
             for j in range(p, len(vec)):
@@ -201,64 +232,5 @@ def row_space_intersection(a: Matrix, b: Matrix) -> list[Vector]:
             if combo[i]:
                 for c in range(cols):
                     vec[c] += combo[i] * a[i][c]
-        out.insert(vec)
+        out._add(_sparse(vec))
     return out.reduced_rows()
-
-
-class RowBasis:
-    """Incrementally maintained row space with exact membership queries.
-
-    Rows are stored as content-reduced integer vectors in echelon form
-    (strictly increasing pivot positions); insertion and membership use
-    fraction-free cross-multiplication.
-    """
-
-    def __init__(self, width: int):
-        self.width = width
-        self._rows: list[list[int]] = []
-        self._pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def _residual(self, vec: Sequence[Fraction | int]) -> list[int]:
-        row = _int_row(vec)
-        if len(row) != self.width:
-            raise ValueError(f"vector length {len(row)} does not match width {self.width}")
-        for stored, p in zip(self._rows, self._pivots):
-            if row[p]:
-                a, piv = row[p], stored[p]
-                for j in range(self.width):
-                    row[j] = piv * row[j] - a * stored[j]
-                _content_reduce(row)
-        return row
-
-    def insert(self, vec: Sequence[Fraction | int]) -> bool:
-        """Add a vector; return True if it enlarged the span."""
-        row = self._residual(vec)
-        pivot = next((j for j, a in enumerate(row) if a), None)
-        if pivot is None:
-            return False
-        if row[pivot] < 0:
-            row = [-a for a in row]
-        at = next((k for k, p in enumerate(self._pivots) if p > pivot), len(self._pivots))
-        self._rows.insert(at, row)
-        self._pivots.insert(at, pivot)
-        return True
-
-    def contains(self, vec: Sequence[Fraction | int]) -> bool:
-        return not any(self._residual(vec))
-
-    def reduced_rows(self) -> Matrix:
-        """Canonical reduced echelon basis (pivot entries 1, zeros above)."""
-        rows = [[Fraction(a) for a in row] for row in self._rows]
-        for k in reversed(range(len(rows))):
-            p = self._pivots[k]
-            piv = rows[k][p]
-            rows[k] = [a / piv for a in rows[k]]
-            for i in range(k):
-                f = rows[i][p]
-                if f:
-                    rows[i] = [a - f * bk for a, bk in zip(rows[i], rows[k])]
-        return rows

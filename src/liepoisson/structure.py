@@ -40,25 +40,8 @@ class GradedSubspace:
     basis: tuple[tuple[Fraction, ...], ...]
     rank: int
 
-    def vector_of(self, p: Polynomial) -> Vector | None:
-        """Coefficient vector of ``p`` on the ambient monomials.
-
-        Returns None when ``p`` has support outside the ambient space.
-        """
-        index = {m: i for i, m in enumerate(self.monomials)}
-        vec = [Fraction(0)] * len(self.monomials)
-        for m, c in p.terms.items():
-            i = index.get(m)
-            if i is None:
-                return None
-            vec[i] = c
-        return vec
-
     def contains(self, p: Polynomial) -> bool:
-        vec = self.vector_of(p)
-        if vec is None:
-            return False
-        return not any(reduce_vector(vec, self.basis))
+        return _span_contains(self.monomials, self.basis, p)
 
 
 def _subspace(degree: int, monomials: Sequence[Monomial], rows: RowBasis) -> GradedSubspace:
@@ -66,11 +49,26 @@ def _subspace(degree: int, monomials: Sequence[Monomial], rows: RowBasis) -> Gra
     return GradedSubspace(degree, tuple(monomials), basis, rows.rank)
 
 
-def _vector(p: Polynomial, index: dict[Monomial, int], width: int) -> Vector:
+def _vector(p: Polynomial, index: dict[Monomial, int], width: int) -> Vector | None:
+    """Coefficient vector of ``p`` on the indexed monomials.
+
+    Returns None when ``p`` has support outside them.
+    """
     vec = [Fraction(0)] * width
     for m, c in p.terms.items():
-        vec[index[m]] = c
+        i = index.get(m)
+        if i is None:
+            return None
+        vec[i] = c
     return vec
+
+
+def _span_contains(
+    monomials: Sequence[Monomial], basis: Sequence[Sequence[Fraction]], p: Polynomial
+) -> bool:
+    """Whether ``p`` lies in the span of echelon ``basis`` rows over ``monomials``."""
+    vec = _vector(p, {m: i for i, m in enumerate(monomials)}, len(monomials))
+    return vec is not None and not any(reduce_vector(vec, basis))
 
 
 def invariants_basis(algebra: LieAlgebra, degree: int) -> GradedSubspace:
@@ -305,9 +303,13 @@ def verify_thm2(
     brackets for every source bound up to ``max_bound``.  Positive side:
     each normal-form monomial of low degree lies in the span of the
     degree-matched components of brackets at the top bound, so together
-    with constants the bracket span reaches everything checked.
+    with constants the bracket span reaches everything checked.  Monomials
+    are checked up to degree ``min(monomial_degree_cap, max_bound)``, since
+    brackets at a lower bound cannot reach higher degrees; the effective cap
+    is recorded in the report.
     """
     ctx = orbit.context
+    monomial_degree_cap = min(monomial_degree_cap, max_bound)
     report = VerificationReport(
         "thm2",
         {
@@ -395,14 +397,7 @@ class ClosureResult:
     elements: list[tuple[str, Polynomial]]
 
     def contains(self, p: Polynomial) -> bool:
-        index = {m: i for i, m in enumerate(self.monomials)}
-        vec = [Fraction(0)] * len(self.monomials)
-        for m, c in p.terms.items():
-            i = index.get(m)
-            if i is None:
-                return False
-            vec[i] = c
-        return not any(reduce_vector(vec, self.basis))
+        return _span_contains(self.monomials, self.basis, p)
 
     def is_graded(self) -> bool:
         """Whether the span is a direct sum of its degree components."""
@@ -470,8 +465,7 @@ def poisson_ideal_closure(
         if not grew:
             break
 
-    one_vec = [Fraction(0)] * width
-    one_vec[index[(0,) * ctx.nvars]] = Fraction(1)
+    one_vec = _vector(Polynomial.constant(ctx.nvars, 1), index, width)
     return ClosureResult(
         degree_bound=degree_bound,
         monomials=tuple(mons),
@@ -659,8 +653,7 @@ def nonexactness_check(
                 image = ctx.bracket(gen, Polynomial.monomial(ctx.nvars, m))
                 columns.append(_vector(image, index, len(ambient)))
         matrix = [[col[r] for col in columns] for r in range(len(ambient))]
-        target = [Fraction(0)] * len(ambient)
-        target[index[(0,) * ctx.nvars]] = Fraction(1)
+        target = _vector(Polynomial.constant(ctx.nvars, 1), index, len(ambient))
         solution = solve_linear(matrix, target)
         report.records.append(
             {

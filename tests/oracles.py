@@ -53,6 +53,34 @@ def system_is_solvable(a: list[list[Fraction]], b: list[Fraction]) -> bool:
     return rref_rank(a) == rref_rank([row + [bv] for row, bv in zip(a, b)])
 
 
+def free_zero_solution(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
+    """The solution of ``a @ x = b`` with every free variable zero, or None."""
+    n = len(a[0])
+    reduced, pivots = rref([row + [bv] for row, bv in zip(a, b)])
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for r, c in enumerate(pivots):
+        x[c] = reduced[r][n]
+    return x
+
+
+def kernel_basis(a: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Canonical kernel basis: one vector per free column, other free entries zero."""
+    n = len(a[0])
+    reduced, pivots = rref(a)
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        x = [Fraction(0)] * n
+        x[fc] = Fraction(1)
+        for r, c in enumerate(pivots):
+            x[c] = -reduced[r][fc]
+        basis.append(x)
+    return basis
+
+
 def leibniz_bracket(algebra: LieAlgebra, f: Polynomial, g: Polynomial) -> Polynomial:
     """Free Lie-Poisson bracket by recursive product-rule expansion."""
     n = algebra.dim

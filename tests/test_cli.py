@@ -88,6 +88,17 @@ def test_validate_builtin_and_file(tmp_path):
     assert status == EXIT_PASS
 
 
+@pytest.mark.parametrize("algebra", ["sl2r", "so3", "file"])
+def test_size_flag_rejected_for_non_heisenberg_algebras(algebra, tmp_path):
+    if algebra == "file":
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps({"dim": 1, "basis": ["a"], "brackets": []}))
+        algebra = str(path)
+    status, text = run_args(["verify", "prop1", "--algebra", algebra, "--n", "2", "--max-degree", "1"])
+    assert status == EXIT_USAGE
+    assert "--n" in text
+
+
 def test_unparseable_algebra_file_is_a_usage_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"dim": 3, "basis": ')

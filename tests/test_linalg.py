@@ -15,7 +15,7 @@ from liepoisson.linalg import (
     solve_linear,
 )
 
-from oracles import mat_vec, rref_rank, system_is_solvable
+from oracles import free_zero_solution, kernel_basis, mat_vec, rref, rref_rank, system_is_solvable
 
 F = Fraction
 
@@ -139,6 +139,54 @@ def test_reduced_rows_canonical_under_insertion_order(m, rng):
     for row in shuffled:
         rb2.insert(row)
     assert rb1.reduced_rows() == rb2.reduced_rows()
+
+
+SMALL_NONZERO = sorted({F(n, d) for n in (-4, -3, -2, -1, 1, 2, 3, 4) for d in (1, 2, 3)})
+small_nonzero_st = st.sampled_from(SMALL_NONZERO)
+small_st = st.sampled_from([F(0)] + SMALL_NONZERO)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Wide matrices with 1-3 nonzeros per row, the shape span claims produce."""
+    cols = draw(st.integers(20, 60))
+    entries = st.tuples(st.integers(0, cols - 1), small_nonzero_st)
+    m = []
+    for _ in range(draw(st.integers(1, 30))):
+        row = [F(0)] * cols
+        for j, a in draw(st.lists(entries, min_size=1, max_size=3, unique_by=lambda e: e[0])):
+            row[j] = a
+        m.append(row)
+    return m
+
+
+@given(sparse_matrices())
+@settings(deadline=None, max_examples=50)
+def test_sparse_reduced_rows_match_oracle_rref(m):
+    rb = RowBasis(len(m[0]))
+    for row in m:
+        rb.insert(row)
+    reduced, pivots = rref(m)
+    assert rb.reduced_rows() == reduced[: len(pivots)]
+
+
+@given(sparse_matrices(), st.data())
+@settings(deadline=None, max_examples=50)
+def test_sparse_solve_matches_oracle_free_zero_solution(m, data):
+    if data.draw(st.booleans()):
+        b = data.draw(st.lists(small_st, min_size=len(m), max_size=len(m)))
+    else:
+        x = data.draw(st.lists(small_st, min_size=len(m[0]), max_size=len(m[0])))
+        b = mat_vec(m, x)
+    solution = solve_linear(m, b)
+    assert (solution is None) == (not system_is_solvable(m, b))
+    assert solution == free_zero_solution(m, b)
+
+
+@given(sparse_matrices())
+@settings(deadline=None, max_examples=50)
+def test_sparse_nullspace_matches_oracle_kernel_basis(m):
+    assert nullspace(m) == kernel_basis(m)
 
 
 def test_row_space_intersection_planes():

@@ -2,7 +2,7 @@
 
 Derived expectations are recomputed here through independent routes
 (plain rational elimination and the recursive product-rule bracket) before
-being compared with the package's Bareiss-based results.
+being compared with the package's elimination results.
 """
 
 from fractions import Fraction
@@ -210,6 +210,14 @@ def test_verify_thm2_two_sided():
     assert report.verdict == "pass"
     kinds = {r["check"] for r in report.records}
     assert kinds == {"constants", "monomial"}
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2])
+def test_verify_thm2_small_bounds_cap_the_monomial_degree(bound):
+    report = verify_thm2(casimir_orbit(SL2R, 1), bound)
+    assert report.verdict == "pass"
+    assert report.params["monomial_degree_cap"] == bound
+    assert max((r["degree"] for r in report.records if r["check"] == "monomial"), default=0) == bound
 
 
 def test_verify_heisenberg_counterexample():
