@@ -66,7 +66,6 @@ class RunConfig:
     generators: list[str] = field(default_factory=list)
     orbit_type: str | None = None
     json_output: bool = False
-    seed: int | None = None
 
     def __post_init__(self):
         if self.max_degree is not None and self.max_degree < 0:
@@ -170,8 +169,6 @@ def run(config: RunConfig) -> tuple[int, str]:
         OSError,
     ) as exc:
         return EXIT_USAGE, f"error: {exc}\n"
-    if config.seed is not None:
-        report.params["seed"] = config.seed
     output = report.to_json() if config.json_output else report.render_text()
     return (EXIT_PASS if report.passed else EXIT_FAIL), output
 
@@ -232,7 +229,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--orbit-type", choices=[t.value for t in OrbitType],
                         help="override the orbit classification")
     parser.add_argument("--json", action="store_true", dest="json_output", help="emit the report as JSON")
-    parser.add_argument("--seed", type=int, help="seed recorded in the report for reproducibility")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,7 +273,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         generators=list(args.generators),
         orbit_type=args.orbit_type,
         json_output=args.json_output,
-        seed=args.seed,
     )
 
 

@@ -5,6 +5,10 @@ set, or the central-character level set z = c for the Heisenberg algebra).
 The quotient context provides the projection onto the orbit's polynomial
 algebra via normal forms, and the descriptor tags the orbit type used by
 the structure checks.
+
+An ``OrbitIdeal`` keeps one ``poly.Reducer`` for its lifetime, so the
+normal form of each reducible monomial is computed once per ideal and
+then reused; the cache grows with the distinct monomials reduced.
 """
 
 from __future__ import annotations
@@ -19,11 +23,9 @@ from .poly import (
     GradedLexOrder,
     Monomial,
     Polynomial,
+    Reducer,
     format_polynomial,
     monomial_divides,
-    monomials_of_degree,
-    monomials_up_to,
-    normal_form,
 )
 
 
@@ -36,8 +38,9 @@ class OrbitType(Enum):
 class OrbitIdeal:
     """Principal ideal generated by a single nonconstant relation.
 
-    Caches the leading data of the relation so repeated reductions are
-    cheap.  The bracket-closure invariant (the relation's bracket with
+    Caches the leading data of the relation and the normal forms of the
+    monomials it has reduced, so repeated reductions are cheap.  The
+    bracket-closure invariant (the relation's bracket with
     every generator reduces to zero) is enforced when a quotient context
     is built from the ideal.
     """
@@ -50,6 +53,7 @@ class OrbitIdeal:
         self.relation = relation
         self.order = order
         self.leading_monomial, self.leading_coefficient = relation.leading_term(order)
+        self._reducer = Reducer(relation, order)
 
     @property
     def is_homogeneous(self) -> bool:
@@ -59,7 +63,7 @@ class OrbitIdeal:
         return not monomial_divides(self.leading_monomial, m)
 
     def reduce(self, p: Polynomial) -> Polynomial:
-        return normal_form(p, self.relation, self.order)
+        return self._reducer.reduce(p)
 
     def __repr__(self) -> str:
         names = tuple(f"x{i}" for i in range(self.relation.nvars))
@@ -157,9 +161,6 @@ def quotient_dimension(orbit: OrbitDescriptor, n: int) -> int:
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    ideal = orbit.ideal
-    if ideal.is_homogeneous:
-        mons = monomials_of_degree(orbit.algebra.dim, n, ideal.order)
-    else:
-        mons = monomials_up_to(orbit.algebra.dim, n, ideal.order)
-    return sum(1 for m in mons if ideal.is_normal_monomial(m))
+    if orbit.ideal.is_homogeneous:
+        return len(orbit.context.basis_monomials(n))
+    return len(orbit.context.basis_monomials_up_to(n))

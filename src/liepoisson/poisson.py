@@ -10,14 +10,31 @@ A context is either the free polynomial algebra or its quotient by a
 principal orbit ideal; quotient contexts reduce every result to normal
 form and refuse relations whose bracket with some generator does not
 vanish modulo the ideal (those do not generate Poisson ideals).
+
+The formula is evaluated term by term through the derivation table: for
+monomials x^a, x^b and each pair i < j with [xi_i, xi_j] = sum_k c_ij^k xi_k,
+
+    {x^a, x^b} gets (a_i b_j - a_j b_i) c_ij^k  at  x^(a + b - e_i - e_j + e_k),
+
+with coefficients kept as integer numerators (the structure constants over
+one common denominator) until one conversion at the end.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import TYPE_CHECKING
 
 from .liealg import LieAlgebra
-from .poly import GradedLexOrder, Monomial, Polynomial, format_polynomial, monomial_divides, monomials_of_degree
+from .poly import (
+    GradedLexOrder,
+    Monomial,
+    Polynomial,
+    _from_numerators,
+    _numerators,
+    format_polynomial,
+    monomials_of_degree,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .orbit import OrbitIdeal
@@ -37,19 +54,20 @@ class BracketClosureError(ValueError):
 class PoissonContext:
     """Free or quotient Poisson algebra over a fixed Lie algebra.
 
-    Immutable after construction; ``bracket`` and ``reduce`` are pure.
+    ``bracket`` and ``reduce`` are pure functions of their arguments; the
+    context and its ideal only cache basis monomials and normal forms.
     """
 
     def __init__(self, algebra: LieAlgebra, ideal: "OrbitIdeal | None", order: GradedLexOrder):
         self.algebra = algebra
         self.ideal = ideal
         self.order = order
-        self._pairs: list[tuple[int, int, Polynomial]] = [
-            (i, j, algebra.bracket_poly(i, j))
-            for i in range(algebra.dim)
-            for j in range(i + 1, algebra.dim)
-            if algebra.bracket_terms(i, j)
-        ]
+        constants, self._den = _numerators({key: c for key, c in algebra.structure.items() if key[0] < key[1]})
+        # derivation table: (i, j, [(k, c_ij^k * den), ...]) for each pair i < j with [xi_i, xi_j] != 0
+        rows: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for (i, j, k), c in sorted(constants.items()):
+            rows.setdefault((i, j), []).append((k, c))
+        self._table = [(i, j, row) for (i, j), row in rows.items()]
         self._monomial_cache: dict[int, tuple[Monomial, ...]] = {}
 
     @classmethod
@@ -97,12 +115,28 @@ class PoissonContext:
         """Lie-Poisson bracket, reduced to normal form in quotient mode."""
         if f.nvars != self.nvars or g.nvars != self.nvars:
             raise ValueError("polynomials do not match the context's variables")
-        acc = Polynomial.zero(self.nvars)
-        for i, j, linear in self._pairs:
-            coeff = f.differentiate(i) * g.differentiate(j) - f.differentiate(j) * g.differentiate(i)
-            if coeff:
-                acc = acc + coeff * linear
-        return self.reduce(acc)
+        nf, df = _numerators(f.terms)
+        ng, dg = _numerators(g.terms)
+        acc: dict[Monomial, int] = {}
+        get = acc.get
+        for ma, ca in nf.items():
+            for mb, cb in ng.items():
+                cab = ca * cb
+                s = list(map(add, ma, mb))
+                for i, j, row in self._table:
+                    w = ma[i] * mb[j] - ma[j] * mb[i]
+                    if w:
+                        w *= cab
+                        s[i] -= 1
+                        s[j] -= 1
+                        for k, c in row:
+                            s[k] += 1
+                            m = tuple(s)
+                            s[k] -= 1
+                            acc[m] = get(m, 0) + w * c
+                        s[i] += 1
+                        s[j] += 1
+        return self.reduce(_from_numerators(self.nvars, acc, df * dg * self._den))
 
     def basis_monomials(self, degree: int) -> tuple[Monomial, ...]:
         """Canonical monomials of the given degree, descending in the order.
@@ -115,8 +149,7 @@ class PoissonContext:
         if cached is None:
             mons = monomials_of_degree(self.nvars, degree, self.order)
             if self.ideal is not None:
-                lm = self.ideal.leading_monomial
-                mons = [m for m in mons if not monomial_divides(lm, m)]
+                mons = [m for m in mons if self.ideal.is_normal_monomial(m)]
             cached = tuple(mons)
             self._monomial_cache[degree] = cached
         return cached

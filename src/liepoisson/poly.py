@@ -5,11 +5,28 @@ coefficients; the zero polynomial has an empty term map, so equality is
 structural.  The module also provides the graded lexicographic monomial
 order, single-divisor normal forms, an expression parser, and a matching
 pretty-printer.
+
+The product and the normal form work fraction-free: coefficients are
+scaled to integer numerators over their lcm denominator, the inner loops
+add and multiply Python ints, and each output term becomes one
+``Fraction`` at the end.
+
+Normal forms modulo one divisor d = lc * x^lm + tail are linear, so a
+``Reducer`` memoizes the normal form of every reducible monomial it meets.
+For m = u + lm,
+
+    nf(x^m) = sum over tail terms c * x^t of -(c / lc) * nf(x^(u + t)),
+
+where nf(x^w) = x^w unless lm divides w.  Each x^(u + t) is smaller than
+x^m in the order, so the recursion ends; it is evaluated with an explicit
+stack, so its depth is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 Monomial = tuple[int, ...]
@@ -172,19 +189,15 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = monomial_mul(ma, mb)
-                s = out.get(m, Fraction(0)) + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        p = Polynomial.__new__(Polynomial)
-        p.nvars = self.nvars
-        p.terms = out
-        return p
+        na, da = _numerators(self.terms)
+        nb, db = _numerators(other.terms)
+        acc: dict[Monomial, int] = {}
+        get = acc.get
+        for ma, ca in na.items():
+            for mb, cb in nb.items():
+                m = tuple(map(add, ma, mb))
+                acc[m] = get(m, 0) + ca * cb
+        return _from_numerators(self.nvars, acc, da * db)
 
     __rmul__ = __mul__
 
@@ -226,20 +239,6 @@ class Polynomial:
         p.terms = {m: c for m, c in self.terms.items() if monomial_degree(m) == n}
         return p
 
-    def differentiate(self, index: int) -> "Polynomial":
-        """Partial derivative with respect to variable ``index``."""
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            e = m[index]
-            if e:
-                dm = list(m)
-                dm[index] = e - 1
-                out[tuple(dm)] = c * e
-        p = Polynomial.__new__(Polynomial)
-        p.nvars = self.nvars
-        p.terms = out
-        return p
-
     def sorted_terms(self, order: GradedLexOrder | None = None) -> list[tuple[Monomial, Fraction]]:
         """Terms in descending monomial order (canonical enumeration)."""
         if order is None:
@@ -257,31 +256,98 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self, names)!r})"
 
 
+def _numerators(terms: Mapping[Monomial, Fraction]) -> tuple[dict[Monomial, int], int]:
+    """Coefficients as integer numerators over their lcm denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
+def _from_numerators(nvars: int, acc: Mapping[Monomial, int], den: int) -> Polynomial:
+    """The polynomial with coefficients ``acc[m] / den``, dropping zero numerators."""
+    p = Polynomial.__new__(Polynomial)
+    p.nvars = nvars
+    p.terms = {m: Fraction(a, den) for m, a in acc.items() if a}
+    return p
+
+
+def _combine(parts) -> tuple[dict[Monomial, int], int]:
+    """Sum of ``n * num / d`` over ``parts`` as numerators over ``scale``, the lcm of the d."""
+    scale = lcm(*(d for _, (_, d) in parts))
+    acc: dict[Monomial, int] = {}
+    get = acc.get
+    for n, (num, d) in parts:
+        s = n * (scale // d)
+        for w, a in num.items():
+            acc[w] = get(w, 0) + s * a
+    return acc, scale
+
+
+class Reducer:
+    """Normal forms modulo one nonzero divisor, memoized per monomial.
+
+    The memo maps each reducible monomial met so far to its normal form,
+    kept as integer numerators over one denominator.  It only grows, and
+    results do not depend on which polynomials were reduced before.
+    """
+
+    def __init__(self, divisor: Polynomial, order: GradedLexOrder):
+        if not divisor:
+            raise ValueError("cannot reduce modulo the zero polynomial")
+        self.nvars = divisor.nvars
+        lm, lc = divisor.leading_term(order)
+        self._lm = lm
+        # x^lm = sum over the tail of -(c / lc) x^t, as numerators over self._den
+        self._tail, self._den = _numerators({t: -c / lc for t, c in divisor.terms.items() if t != lm})
+        self._memo: dict[Monomial, tuple[dict[Monomial, int], int]] = {}
+
+    def _quotient(self, m: Monomial) -> Monomial | None:
+        """``m - lm`` when the leading monomial divides ``m``, else None."""
+        u = tuple(map(sub, m, self._lm))
+        return u if min(u, default=0) >= 0 else None
+
+    def _monomial_nf(self, m: Monomial) -> tuple[dict[Monomial, int], int]:
+        memo = self._memo
+        stack = [m]
+        while stack:
+            top = stack[-1]
+            if top in memo:
+                stack.pop()
+                continue
+            u = self._quotient(top)
+            children = [(tuple(map(add, u, t)), n) for t, n in self._tail.items()]
+            missing = [w for w, _ in children if w not in memo and self._quotient(w) is not None]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            # every reducible child is in the memo now; the others are normal
+            acc, scale = _combine([(n, memo[w] if w in memo else ({w: 1}, 1)) for w, n in children])
+            den = self._den * scale
+            g = gcd(den, *acc.values())
+            memo[top] = ({w: a // g for w, a in acc.items() if a}, den // g)
+        return memo[m]
+
+    def reduce(self, f: Polynomial) -> Polynomial:
+        """The unique remainder of ``f``: no monomial is divisible by the leading one."""
+        if f.nvars != self.nvars:
+            raise ValueError("polynomials have different variable counts")
+        reducible = [m for m in f.terms if self._quotient(m) is not None]
+        if not reducible:
+            return f
+        num, den = _numerators(f.terms)
+        parts = [(num.pop(m), self._monomial_nf(m)) for m in reducible]
+        acc, scale = _combine(parts + [(1, (num, 1))])
+        return _from_numerators(f.nvars, acc, den * scale)
+
+
 def normal_form(f: Polynomial, divisor: Polynomial, order: GradedLexOrder) -> Polynomial:
     """Unique remainder of ``f`` under division by a single divisor.
 
-    Repeatedly eliminates the order-largest monomial of ``f`` divisible by
-    the leading monomial of the divisor; the result contains no monomial
-    divisible by that leading monomial, and for a single divisor it is the
-    canonical representative of ``f`` modulo the generated ideal.
+    The result contains no monomial divisible by the leading monomial of
+    the divisor; for a single divisor it is the canonical representative
+    of ``f`` modulo the generated ideal.
     """
-    if not divisor:
-        raise ValueError("cannot reduce modulo the zero polynomial")
-    if f.nvars != divisor.nvars:
-        raise ValueError("polynomials have different variable counts")
-    lm, lc = divisor.leading_term(order)
-    tail = divisor - Polynomial.monomial(divisor.nvars, lm, lc)
-    work = f
-    while True:
-        reducible = [m for m in work.terms if monomial_divides(lm, m)]
-        if not reducible:
-            return work
-        m = max(reducible, key=order.key)
-        c = work.terms[m]
-        u = monomial_div(m, lm)
-        # m maps to -(c/lc) * x^u * tail, which is strictly smaller in the order
-        work = work - Polynomial.monomial(work.nvars, m, c) \
-                    - Polynomial.monomial(work.nvars, u, c / lc) * tail
+    return Reducer(divisor, order).reduce(f)
 
 
 def monomials_of_degree(nvars: int, degree: int, order: GradedLexOrder | None = None) -> list[Monomial]:

@@ -1,9 +1,10 @@
 """Independent reference computations used to check the package.
 
 Everything here deliberately avoids the package's elimination and bracket
-code paths: rank and kernels use plain rational Gauss-Jordan, and the
+code paths: rank and kernels use plain rational Gauss-Jordan, the
 bracket oracle expands recursively through the product rule instead of the
-closed bidifferential formula.
+closed bidifferential formula, and normal forms come from the textbook
+division loop instead of the package's memoized reducer.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 from fractions import Fraction
 
 from liepoisson.liealg import LieAlgebra
-from liepoisson.poly import Monomial, Polynomial
+from liepoisson.poly import GradedLexOrder, Monomial, Polynomial, monomial_div, monomial_divides
 
 
 def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -120,6 +121,38 @@ def leibniz_bracket(algebra: LieAlgebra, f: Polynomial, g: Polynomial) -> Polyno
         for mb, cb in g.terms.items():
             out = out + (ca * cb) * mono(ma, mb)
     return out
+
+
+def division_normal_form(f: Polynomial, divisor: Polynomial, order: GradedLexOrder) -> Polynomial:
+    """Remainder of ``f`` by repeatedly eliminating its largest reducible monomial."""
+    lm, lc = divisor.leading_term(order)
+    tail = divisor - Polynomial.monomial(divisor.nvars, lm, lc)
+    work = f
+    while True:
+        reducible = [m for m in work.terms if monomial_divides(lm, m)]
+        if not reducible:
+            return work
+        m = max(reducible, key=order.key)
+        c = work.terms[m]
+        u = monomial_div(m, lm)
+        # m maps to -(c/lc) * x^u * tail, which is strictly smaller in the order
+        work = work - Polynomial.monomial(work.nvars, m, c) \
+                    - Polynomial.monomial(work.nvars, u, c / lc) * tail
+
+
+# Divisors over (x, y, z) that the normal-form tests reduce modulo: the
+# hyperboloid, a rational level (non-integer tail), the cone, the so3 sphere,
+# the Heisenberg central level z = 1 in the basis (q, p, z), and a divisor
+# that is no orbit relation but whose tail mixes reducible and normal terms
+# with different denominators.
+NORMAL_FORM_RELATIONS = [
+    "x^2 + y^2 - z^2 - 1",
+    "x^2 + y^2 - z^2 - 1/2",
+    "x^2 + y^2 - z^2",
+    "x^2 + y^2 + z^2 - 1",
+    "z - 1",
+    "2*z^2 + x*z - 1/3*y",
+]
 
 
 COEFF_NUMERATORS = [-4, -3, -2, -1, 1, 2, 3, 4]

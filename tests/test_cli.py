@@ -141,12 +141,12 @@ def test_conflicting_orbit_flags_rejected():
 
 def test_json_reports_are_byte_identical_across_runs():
     commands = [
-        ["verify", "prop1", "--algebra", "sl2r", "--max-degree", "3", "--json", "--seed", "7"],
-        ["verify", "thm2", "--algebra", "sl2r", "--casimir", "1", "--max-degree", "3", "--json", "--seed", "7"],
-        ["verify", "heisenberg", "--n", "1", "--json", "--seed", "7"],
-        ["verify", "nilpotent-ideals", "--algebra", "sl2r", "--max-degree", "3", "--json", "--seed", "7"],
-        ["verify", "nonexact", "--algebra", "sl2r", "--max-degree", "1", "--json", "--seed", "7"],
-        ["verify", "lemma", "--algebra", "sl2r", "--gen", "x", "--max-degree", "3", "--json", "--seed", "7"],
+        ["verify", "prop1", "--algebra", "sl2r", "--max-degree", "3", "--json"],
+        ["verify", "thm2", "--algebra", "sl2r", "--casimir", "1", "--max-degree", "3", "--json"],
+        ["verify", "heisenberg", "--n", "1", "--json"],
+        ["verify", "nilpotent-ideals", "--algebra", "sl2r", "--max-degree", "3", "--json"],
+        ["verify", "nonexact", "--algebra", "sl2r", "--max-degree", "1", "--json"],
+        ["verify", "lemma", "--algebra", "sl2r", "--gen", "x", "--max-degree", "3", "--json"],
     ]
     for args in commands:
         status1, text1 = run_args(args)
@@ -154,8 +154,14 @@ def test_json_reports_are_byte_identical_across_runs():
         assert status1 == status2
         assert text1 == text2
         payload = json.loads(text1)
-        assert payload["params"]["seed"] == 7
         assert payload["verdict"] == ("pass" if status1 == EXIT_PASS else "fail")
+
+
+def test_seed_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "prop1", "--algebra", "sl2r", "--max-degree", "2", "--seed", "7"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_exit_status_matches_report_verdict():

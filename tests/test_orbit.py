@@ -17,7 +17,7 @@ from liepoisson.orbit import (
 from liepoisson.poisson import BracketClosureError
 from liepoisson.poly import GradedLexOrder, Polynomial, parse_polynomial
 
-from oracles import random_polynomial
+from oracles import NORMAL_FORM_RELATIONS, division_normal_form, random_polynomial
 
 SL2R = builtin("sl2r")
 
@@ -98,6 +98,21 @@ def test_quotient_dimension_hyperboloid_counts_up_to_degree():
     hyp = casimir_orbit(SL2R, 1)
     assert quotient_dimension(hyp, 1) == 4
     assert quotient_dimension(hyp, 2) == 9
+
+
+@pytest.mark.parametrize("relation", NORMAL_FORM_RELATIONS)
+def test_reused_orbit_ideal_matches_division_oracle(relation):
+    # one ideal serves every call, in shuffled order, so normal forms cached
+    # by earlier calls are what later calls reuse; the homogeneous slices
+    # repeat monomials of the whole polynomials
+    order = GradedLexOrder.default(3)
+    ideal = OrbitIdeal(sl2(relation), order)
+    rng = random.Random(67)
+    polys = [sl2("z^12")] + [random_polynomial(rng, 3, 8, max_terms=6) for _ in range(40)]
+    polys += [f.graded_component(n) for f in polys[:10] for n in range(9)]
+    rng.shuffle(polys)
+    for f in polys:
+        assert ideal.reduce(f) == division_normal_form(f, ideal.relation, order)
 
 
 def test_orbit_ideal_rejects_degenerate_relations():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from liepoisson.liealg import builtin
+from liepoisson.liealg import LieAlgebra, builtin, validate
 from liepoisson.orbit import casimir_orbit
 from liepoisson.poisson import BracketClosureError, PoissonContext, jacobi_defect, leibniz_defect
 from liepoisson.poly import Polynomial, parse_polynomial
@@ -58,12 +58,31 @@ def test_leibniz_defect_examples():
     assert leibniz_defect(FREE_SL2R, x, y, sl2("x^2 + y^2 - z^2")) == (Polynomial.zero(3), Polynomial.zero(3))
 
 
+def scaled_basis(algebra, scales):
+    """The algebra in the basis s_i xi_i: c_ij^k becomes c_ij^k s_i s_j / s_k."""
+    structure = {
+        (i, j, k): c * scales[i] * scales[j] / scales[k] for (i, j, k), c in algebra.structure.items()
+    }
+    return LieAlgebra(algebra.names, structure)
+
+
+# sl2r in the basis (x/2, 2y/3, 3z): constants -1/9, 4 and 9/4, so the
+# bracket's common denominator is not 1
+SCALED_SL2R = scaled_basis(SL2R, (Fraction(1, 2), Fraction(2, 3), Fraction(3)))
+
+
+def test_scaled_sl2r_is_a_lie_algebra_with_rational_constants():
+    assert validate(SCALED_SL2R).ok
+    assert {c.denominator for c in SCALED_SL2R.structure.values()} == {1, 4, 9}
+
+
 @pytest.fixture(scope="module")
 def contexts():
     return [
         PoissonContext.free(builtin("sl2r")),
         PoissonContext.free(builtin("so3")),
         PoissonContext.free(builtin("heisenberg", 1)),
+        PoissonContext.free(SCALED_SL2R),
     ]
 
 

@@ -18,7 +18,7 @@ from liepoisson.poly import (
     parse_polynomial,
 )
 
-from oracles import random_polynomial
+from oracles import NORMAL_FORM_RELATIONS, division_normal_form, random_polynomial
 
 XYZ = ("x", "y", "z")
 
@@ -88,6 +88,15 @@ def test_normal_form_idempotent():
         f = random_polynomial(rng, 3, 5)
         nf = normal_form(f, divisor, order)
         assert normal_form(nf, divisor, order) == nf
+
+
+@pytest.mark.parametrize("relation", NORMAL_FORM_RELATIONS)
+def test_normal_form_matches_division_oracle(relation):
+    divisor = p(relation)
+    order = GradedLexOrder.default(3)
+    rng = random.Random(61)
+    for f in [p("z^12")] + [random_polynomial(rng, 3, 8, max_terms=6) for _ in range(30)]:
+        assert normal_form(f, divisor, order) == division_normal_form(f, divisor, order)
 
 
 def test_normal_form_result_avoids_leading_monomial():
