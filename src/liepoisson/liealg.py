@@ -60,12 +60,6 @@ class LieAlgebra:
     def c(self, i: int, j: int, k: int) -> Fraction:
         return self.structure.get((i, j, k), Fraction(0))
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise LieAlgebraFormatError(f"unknown basis name '{name}'") from None
-
     def bracket_terms(self, i: int, j: int) -> dict[int, Fraction]:
         """Nonzero coefficients of [xi_i, xi_j] on the basis."""
         out: dict[int, Fraction] = {}

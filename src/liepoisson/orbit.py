@@ -52,7 +52,7 @@ class OrbitIdeal:
             raise ValueError("orbit relation must be nonconstant")
         self.relation = relation
         self.order = order
-        self.leading_monomial, self.leading_coefficient = relation.leading_term(order)
+        self.leading_monomial = relation.leading_term(order)[0]
         self._reducer = Reducer(relation, order)
 
     @property

@@ -38,10 +38,6 @@ def monomial_degree(m: Monomial) -> int:
     return sum(m)
 
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     """Whether ``x^a`` divides ``x^b``."""
     return all(x <= y for x, y in zip(a, b))
@@ -223,9 +219,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         degs = {monomial_degree(m) for m in self.terms}
         return len(degs) <= 1
-
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(tuple(m), Fraction(0))
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.nvars, Fraction(0))

@@ -1,10 +1,13 @@
 """Degreewise structure checks for polynomial Poisson algebras.
 
 Every operation here verifies a finite-dimensional projection of an
-algebraic statement: subspaces of fixed degree are represented by exact
-coefficient matrices over a canonical monomial enumeration, and verdicts
-are always relative to the stated degree or source bound.  Reports
-serialize deterministically to JSON.
+algebraic statement, and verdicts are always relative to the stated degree
+or source bound.  Each bounded subspace is a ``Span``: a fixed tuple of
+canonical monomials and one exact ``RowBasis`` over their coefficients.
+``Span.vector`` is the only map from a ``Polynomial`` to coordinates;
+``insert`` and ``contains`` take polynomials, and ``basis`` freezes the
+reduced echelon rows into a ``GradedSubspace`` or ``ClosureResult``.
+Reports serialize deterministically to JSON.
 """
 
 from __future__ import annotations
@@ -13,13 +16,13 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .liealg import LieAlgebra, is_semisimple
 from .linalg import Matrix, RowBasis, Vector, nullspace, reduce_vector, row_space_intersection, solve_linear
 from .orbit import OrbitDescriptor, OrbitType, builtin_casimir
 from .poisson import PoissonContext
-from .poly import Monomial, Polynomial, monomial_degree, monomials_of_degree
+from .poly import Monomial, Polynomial, monomial_degree
 
 
 class Membership(Enum):
@@ -44,30 +47,55 @@ class GradedSubspace:
         return _span_contains(self.monomials, self.basis, p)
 
 
-def _subspace(degree: int, monomials: Sequence[Monomial], rows: RowBasis) -> GradedSubspace:
-    basis = tuple(tuple(row) for row in rows.reduced_rows())
-    return GradedSubspace(degree, tuple(monomials), basis, rows.rank)
+class Span:
+    """A growing subspace of the polynomials supported on fixed monomials.
 
-
-def _vector(p: Polynomial, index: dict[Monomial, int], width: int) -> Vector | None:
-    """Coefficient vector of ``p`` on the indexed monomials.
-
-    Returns None when ``p`` has support outside them.
+    ``monomials`` fixes the coordinate order; ``rows`` is the exact row
+    space of the coefficient vectors inserted so far.
     """
-    vec = [Fraction(0)] * width
-    for m, c in p.terms.items():
-        i = index.get(m)
-        if i is None:
-            return None
-        vec[i] = c
-    return vec
+
+    def __init__(self, monomials: Iterable[Monomial]):
+        self.monomials = tuple(monomials)
+        self._index = {m: i for i, m in enumerate(self.monomials)}
+        self.rows = RowBasis(len(self.monomials))
+
+    @property
+    def rank(self) -> int:
+        return self.rows.rank
+
+    def vector(self, p: Polynomial) -> Vector | None:
+        """Coefficient vector of ``p``; None when ``p`` has support outside the monomials."""
+        vec = [Fraction(0)] * len(self.monomials)
+        for m, c in p.terms.items():
+            i = self._index.get(m)
+            if i is None:
+                return None
+            vec[i] = c
+        return vec
+
+    def insert(self, p: Polynomial) -> bool:
+        """Add ``p``; return True if it enlarged the span."""
+        if not p:
+            return False
+        vec = self.vector(p)
+        if vec is None:
+            raise ValueError("polynomial has support outside the span's monomials")
+        return self.rows.insert(vec)
+
+    def contains(self, p: Polynomial) -> bool:
+        vec = self.vector(p)
+        return vec is not None and self.rows.contains(vec)
+
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Canonical reduced echelon rows over the monomials."""
+        return tuple(tuple(row) for row in self.rows.reduced_rows())
 
 
 def _span_contains(
     monomials: Sequence[Monomial], basis: Sequence[Sequence[Fraction]], p: Polynomial
 ) -> bool:
     """Whether ``p`` lies in the span of echelon ``basis`` rows over ``monomials``."""
-    vec = _vector(p, {m: i for i, m in enumerate(monomials)}, len(monomials))
+    vec = Span(monomials).vector(p)
     return vec is not None and not any(reduce_vector(vec, basis))
 
 
@@ -79,22 +107,18 @@ def invariants_basis(algebra: LieAlgebra, degree: int) -> GradedSubspace:
     is the degree slice of the Poisson center.
     """
     ctx = PoissonContext.free(algebra)
-    mons = list(ctx.basis_monomials(degree))
-    index = {m: i for i, m in enumerate(mons)}
-    n = len(mons)
+    span = Span(ctx.basis_monomials(degree))
     stacked: Matrix = []
     for i in range(algebra.dim):
         gen = algebra.variable(i)
-        block = [[Fraction(0)] * n for _ in range(n)]
-        for col, m in enumerate(mons):
-            image = ctx.bracket(gen, Polynomial.monomial(algebra.dim, m))
-            for mm, c in image.terms.items():
-                block[index[mm]][col] = c
-        stacked.extend(block)
-    rows = RowBasis(n)
+        columns = [
+            span.vector(ctx.bracket(gen, Polynomial.monomial(algebra.dim, m)))
+            for m in span.monomials
+        ]
+        stacked.extend(list(row) for row in zip(*columns))
     for vec in nullspace(stacked):
-        rows.insert(vec)
-    return _subspace(degree, mons, rows)
+        span.rows.insert(vec)
+    return GradedSubspace(degree, span.monomials, span.basis(), span.rank)
 
 
 def _bracket_sources(ctx: PoissonContext, source_bound: int, all_pairs: bool) -> Iterator[Polynomial]:
@@ -143,14 +167,10 @@ def derived_span(
     brackets (the derived ideal), since brackets with higher-degree factors
     reduce to brackets with linear ones.
     """
-    mons = list(ctx.basis_monomials(degree))
-    index = {m: i for i, m in enumerate(mons)}
-    rows = RowBasis(len(mons))
+    span = Span(ctx.basis_monomials(degree))
     for br in _bracket_sources(ctx, source_bound, all_pairs):
-        comp = br.graded_component(degree)
-        if comp:
-            rows.insert(_vector(comp, index, len(mons)))
-    return _subspace(degree, mons, rows)
+        span.insert(br.graded_component(degree))
+    return GradedSubspace(degree, span.monomials, span.basis(), span.rank)
 
 
 def derived_membership(ctx: PoissonContext, f: Polynomial, source_bound: int) -> Membership:
@@ -162,13 +182,10 @@ def derived_membership(ctx: PoissonContext, f: Polynomial, source_bound: int) ->
     f = ctx.reduce(f)
     if not f:
         return Membership.IN_SPAN
-    top = max(source_bound, f.degree())
-    mons = list(ctx.basis_monomials_up_to(top))
-    index = {m: i for i, m in enumerate(mons)}
-    rows = RowBasis(len(mons))
+    span = Span(ctx.basis_monomials_up_to(max(source_bound, f.degree())))
     for br in _bracket_sources(ctx, source_bound, all_pairs=True):
-        rows.insert(_vector(br, index, len(mons)))
-    if rows.contains(_vector(f, index, len(mons))):
+        span.insert(br)
+    if span.contains(f):
         return Membership.IN_SPAN
     return Membership.NOT_IN_SPAN_AT_BOUND
 
@@ -238,10 +255,6 @@ def _text_cell(value) -> str:
     return str(value)
 
 
-def _dim_of_degree(nvars: int, degree: int) -> int:
-    return len(monomials_of_degree(nvars, degree))
-
-
 def verify_prop1(algebra: LieAlgebra, max_degree: int) -> VerificationReport:
     """Degreewise splitting of the free algebra into invariants plus brackets.
 
@@ -258,8 +271,8 @@ def verify_prop1(algebra: LieAlgebra, max_degree: int) -> VerificationReport:
         report.notes.append("algebra is not semisimple; the splitting is expected to fail")
     ctx = PoissonContext.free(algebra)
     for n in range(max_degree + 1):
-        ambient = _dim_of_degree(algebra.dim, n)
         center = invariants_basis(algebra, n)
+        ambient = len(center.monomials)
         derived = derived_span(ctx, n, n + 1)
         union = RowBasis(ambient)
         for row in center.basis:
@@ -423,20 +436,18 @@ def poisson_ideal_closure(
     within the bound) and bracketing with a generator variable.
 
     By the product rule these moves exhaust Poisson-ideal closure at the
-    bound.  Iteration sweeps all moves over the current spanning set until
-    a full sweep adds nothing; ranks are capped by the ambient dimension,
-    so this terminates.
+    bound.  The moves are linear, so one pass that applies them to every
+    admitted element, including those admitted during the pass, leaves each
+    element's images in the span: the span is closed once the pass ends.
+    Ranks are capped by the ambient dimension, so this terminates.
     """
     if not generators:
         raise ValueError("closure requires at least one generator")
-    mons = list(ctx.basis_monomials_up_to(degree_bound))
-    index = {m: i for i, m in enumerate(mons)}
-    width = len(mons)
-    rows = RowBasis(width)
+    span = Span(ctx.basis_monomials_up_to(degree_bound))
     elements: list[tuple[str, Polynomial]] = []
 
     def admit(provenance: str, p: Polynomial) -> None:
-        if p and rows.insert(_vector(p, index, width)):
+        if span.insert(p):
             elements.append((provenance, p))
 
     for g in generators:
@@ -448,32 +459,23 @@ def poisson_ideal_closure(
         admit(ctx.format(g), g)
 
     names = ctx.algebra.names
-    while True:
-        grew = False
-        k = 0
-        while k < len(elements):
-            provenance, e = elements[k]
-            before = rows.rank
-            for i in range(ctx.nvars):
-                gen = ctx.variable(i)
-                if e.degree() + 1 <= degree_bound:
-                    admit(f"{names[i]}*({provenance})", ctx.reduce(gen * e))
-                admit(f"{{{names[i]}, {provenance}}}", ctx.bracket(gen, e))
-            if rows.rank > before:
-                grew = True
-            k += 1
-        if not grew:
-            break
+    # admit() appends to elements, and the loop visits those appends too.
+    for provenance, e in elements:
+        for i in range(ctx.nvars):
+            gen = ctx.variable(i)
+            if e.degree() + 1 <= degree_bound:
+                admit(f"{names[i]}*({provenance})", ctx.reduce(gen * e))
+            admit(f"{{{names[i]}, {provenance}}}", ctx.bracket(gen, e))
 
-    one_vec = _vector(Polynomial.constant(ctx.nvars, 1), index, width)
+    dimension = len(span.monomials)
     return ClosureResult(
         degree_bound=degree_bound,
-        monomials=tuple(mons),
-        basis=tuple(tuple(row) for row in rows.reduced_rows()),
-        rank=rows.rank,
-        dimension=width,
-        contains_one=rows.contains(one_vec),
-        proper_at_bound=rows.rank < width,
+        monomials=span.monomials,
+        basis=span.basis(),
+        rank=span.rank,
+        dimension=dimension,
+        contains_one=span.contains(Polynomial.constant(ctx.nvars, 1)),
+        proper_at_bound=span.rank < dimension,
         elements=elements,
     )
 
@@ -644,29 +646,27 @@ def nonexactness_check(
     )
     gens = [ctx.variable(i) for i in range(ctx.nvars)]
     for d in range(degree_bound + 1):
-        unknowns = list(ctx.basis_monomials_up_to(d))
-        ambient = list(ctx.basis_monomials_up_to(d + 1))
-        index = {m: i for i, m in enumerate(ambient)}
-        columns: list[Vector] = []
-        for gen in gens:
-            for m in unknowns:
-                image = ctx.bracket(gen, Polynomial.monomial(ctx.nvars, m))
-                columns.append(_vector(image, index, len(ambient)))
-        matrix = [[col[r] for col in columns] for r in range(len(ambient))]
-        target = _vector(Polynomial.constant(ctx.nvars, 1), index, len(ambient))
-        solution = solve_linear(matrix, target)
+        unknowns = ctx.basis_monomials_up_to(d)
+        ambient = Span(ctx.basis_monomials_up_to(d + 1))
+        columns = [
+            ambient.vector(ctx.bracket(gen, Polynomial.monomial(ctx.nvars, m)))
+            for gen in gens
+            for m in unknowns
+        ]
+        matrix = [list(row) for row in zip(*columns)]
+        solution = solve_linear(matrix, ambient.vector(Polynomial.constant(ctx.nvars, 1)))
         report.records.append(
             {
                 "check": "target_one",
                 "coefficient_degree": d,
                 "unknowns": 3 * len(unknowns),
-                "equations": len(ambient),
+                "equations": len(ambient.monomials),
                 "feasible": solution is not None,
                 "verdict": "pass" if solution is None else "fail",
             }
         )
         if d == degree_bound:
-            control = solve_linear(matrix, [Fraction(0)] * len(ambient))
+            control = solve_linear(matrix, [Fraction(0)] * len(ambient.monomials))
             record = {
                 "check": "target_zero_control",
                 "coefficient_degree": d,
@@ -686,36 +686,30 @@ def nonexactness_check(
 
 def _ideal_truncation(
     ctx: PoissonContext, generators: Sequence[Polynomial], degree_bound: int
-) -> tuple[RowBasis, list[tuple[str, Polynomial]], tuple[Monomial, ...]]:
+) -> tuple[Span, list[tuple[str, Polynomial]]]:
     """Span of reduced generator multiples with product degree at the bound."""
-    mons = list(ctx.basis_monomials_up_to(degree_bound))
-    index = {m: i for i, m in enumerate(mons)}
-    rows = RowBasis(len(mons))
+    span = Span(ctx.basis_monomials_up_to(degree_bound))
     elements: list[tuple[str, Polynomial]] = []
     for g in generators:
         gdeg = g.degree()
         for d in range(degree_bound - gdeg + 1):
             for m in ctx.basis_monomials(d):
                 p = ctx.reduce(Polynomial.monomial(ctx.nvars, m) * g)
-                if p and rows.insert(_vector(p, index, len(mons))):
+                if span.insert(p):
                     mono = ctx.format(Polynomial.monomial(ctx.nvars, m))
                     elements.append((f"{mono}*({ctx.format(g)})", p))
-    return rows, elements, tuple(mons)
+    return span, elements
 
 
 def _bracket_closed(
-    ctx: PoissonContext,
-    rows: RowBasis,
-    elements: Sequence[tuple[str, Polynomial]],
-    index: dict[Monomial, int],
-    width: int,
+    ctx: PoissonContext, span: Span, elements: Sequence[tuple[str, Polynomial]]
 ) -> tuple[bool, str | None]:
     """Whether brackets of the span with every generator stay in the span."""
     for i in range(ctx.nvars):
         gen = ctx.variable(i)
         for provenance, e in elements:
             br = ctx.bracket(gen, e)
-            if br and not rows.contains(_vector(br, index, width)):
+            if br and not span.contains(br):
                 return False, f"{{{ctx.algebra.names[i]}, {provenance}}}"
     return True, None
 
@@ -750,30 +744,24 @@ def ideal_square_check(
     )
     if ctx.is_quotient:
         report.params["relation"] = ctx.format(ctx.ideal.relation)
-    i_rows, i_elements, mons = _ideal_truncation(ctx, gens, degree_bound)
-    index = {m: i for i, m in enumerate(mons)}
-    width = len(mons)
+    i_span, i_elements = _ideal_truncation(ctx, gens, degree_bound)
     square_gens = []
     for a in range(len(gens)):
         for b in range(a, len(gens)):
             p = ctx.reduce(gens[a] * gens[b])
             if p:
                 square_gens.append(p)
-    sq_rows, sq_elements, _ = (
-        _ideal_truncation(ctx, square_gens, degree_bound)
-        if square_gens
-        else (RowBasis(width), [], mons)
-    )
+    sq_span, sq_elements = _ideal_truncation(ctx, square_gens, degree_bound)
     report.records.append(
         {
             "check": "truncation_dims",
-            "dims": {"ambient": width, "ideal": i_rows.rank, "square": sq_rows.rank},
+            "dims": {"ambient": len(i_span.monomials), "ideal": i_span.rank, "square": sq_span.rank},
             "verdict": "pass",
         }
     )
     witness = None
     for g in gens:
-        if not sq_rows.contains(_vector(g, index, width)):
+        if not sq_span.contains(g):
             witness = ctx.format(g)
             break
     record = {
@@ -783,8 +771,8 @@ def ideal_square_check(
     if witness is not None:
         record["witness"] = witness
     report.records.append(record)
-    i_closed, _ = _bracket_closed(ctx, i_rows, i_elements, index, width)
-    sq_closed, sq_witness = _bracket_closed(ctx, sq_rows, sq_elements, index, width)
+    i_closed, _ = _bracket_closed(ctx, i_span, i_elements)
+    sq_closed, sq_witness = _bracket_closed(ctx, sq_span, sq_elements)
     closure_record = {
         "check": "bracket_closure",
         "ideal_closed": i_closed,

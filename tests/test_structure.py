@@ -15,6 +15,7 @@ from liepoisson.poisson import PoissonContext
 from liepoisson.poly import Polynomial, monomials_of_degree, parse_polynomial
 from liepoisson.structure import (
     Membership,
+    Span,
     VerificationReport,
     derived_membership,
     derived_span,
@@ -256,6 +257,53 @@ def test_closure_of_shifted_casimir_is_its_multiples():
     assert not closure.contains_one
     assert closure.proper_at_bound
     assert not closure.is_graded()
+
+
+def _cone_ideal_closure(bound):
+    # the ideal verify_homogeneous_ideals checks at k = 1
+    ctx = casimir_orbit(SL2R, 0).context
+    gens = [Polynomial.monomial(3, m) for d in range(1, bound + 1) for m in ctx.basis_monomials(d)]
+    return ctx, poisson_ideal_closure(ctx, gens, bound)
+
+
+def _probe_closure(bound):
+    ctx = casimir_orbit(SL2R, 1).context
+    return ctx, poisson_ideal_closure(ctx, [sl2("x + y")], bound)
+
+
+@pytest.mark.parametrize("build", [_probe_closure, _cone_ideal_closure], ids=["probe", "cone"])
+def test_closure_is_closed_under_every_move(build):
+    bound = 5
+    ctx, closure = build(bound)
+    for _, e in closure.elements:
+        for i in range(3):
+            gen = SL2R.variable(i)
+            assert closure.contains(ctx.bracket(gen, e))
+            if e.degree() + 1 <= bound:
+                assert closure.contains(ctx.reduce(gen * e))
+
+
+def _insert_outside_support_raises(span):
+    with pytest.raises(ValueError):
+        span.insert(sl2("z^3"))
+    return True
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda span: not span.contains(sl2("x + y^2 + z^3")),
+        _insert_outside_support_raises,
+        lambda span: not span.insert(Polynomial.zero(3)),
+        lambda span: not span.insert(Fraction(-3, 7) * sl2("x + y^2")),
+    ],
+    ids=["contains-outside-support", "insert-outside-support", "insert-zero", "insert-multiple"],
+)
+def test_span_edge_cases(check):
+    span = Span(FREE_SL2R.basis_monomials_up_to(2))
+    assert span.insert(sl2("x + y^2"))
+    assert check(span)
+    assert span.rank == 1
 
 
 def test_closure_input_validation():
