@@ -105,6 +105,19 @@ def _resolve_orbit(config: RunConfig, algebra: LieAlgebra) -> OrbitDescriptor:
     raise UsageError("an orbit is required (--casimir <p/q> or --relation \"<expr>\")")
 
 
+def _reject_ignored_flags(config: RunConfig) -> None:
+    """Raise on a flag the chosen command would otherwise silently ignore."""
+    name = config.claim or config.command
+    if name in ("validate", "prop1"):
+        for flag, value in (("--casimir", config.casimir), ("--relation", config.relation)):
+            if value is not None:
+                raise UsageError(f"{flag} does not apply to {name}: it has no orbit")
+    if config.orbit_type is not None and name not in ("thm2", "simplicity"):
+        raise UsageError(f"--orbit-type does not apply to {name}")
+    if config.generators and name not in ("lemma", "simplicity"):
+        raise UsageError(f"--gen does not apply to {name}")
+
+
 def _degree(config: RunConfig) -> int:
     if config.max_degree is not None:
         return config.max_degree
@@ -147,6 +160,7 @@ def _validate_report(algebra: LieAlgebra, config: RunConfig) -> VerificationRepo
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute a run configuration; returns (exit status, report text)."""
     try:
+        _reject_ignored_flags(config)
         if config.command == "validate":
             algebra = _resolve_algebra(config)
             report = _validate_report(algebra, config)

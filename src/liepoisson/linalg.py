@@ -10,6 +10,7 @@ the gcd of the entries, so only nonzero entries are ever touched and no
 rational arithmetic happens until results are read out.  Pivots are always
 the leading column, so the reduced echelon form, its pivot set, the
 solution with free variables zero and the kernel basis are canonical.
+Row-space intersection is one Zassenhaus elimination on the same engine.
 """
 
 from __future__ import annotations
@@ -212,25 +213,18 @@ def reduce_vector(v: Sequence[Fraction], rows: Sequence[Sequence[Fraction]]) -> 
 def row_space_intersection(a: Matrix, b: Matrix) -> list[Vector]:
     """Basis of the intersection of the row spaces of ``a`` and ``b``.
 
-    Solves ``alpha @ a = beta @ b`` by taking the kernel of the stacked
-    transpose ``[a^T | -b^T]`` and mapping the alpha part back through ``a``.
+    Zassenhaus: echelonize ``[r | r]`` for the rows of ``a`` and ``[r | 0]``
+    for those of ``b``; the rows pivoted in the right half are ``[0 | v]``,
+    and their ``v`` span the intersection.
     """
     if not a or not b:
         return []
     cols = _check_rectangular(a)
     if _check_rectangular(b) != cols:
         raise ValueError("row spaces live in different ambient dimensions")
-    ra, rb_n = len(a), len(b)
-    stacked = [
-        [a[i][c] for i in range(ra)] + [-b[i][c] for i in range(rb_n)]
-        for c in range(cols)
-    ]
+    both = _basis_of([*([*r, *r] for r in a), *([*r, *[0] * cols] for r in b)], 2 * cols)
     out = RowBasis(cols)
-    for combo in nullspace(stacked):
-        vec = [Fraction(0)] * cols
-        for i in range(ra):
-            if combo[i]:
-                for c in range(cols):
-                    vec[c] += combo[i] * a[i][c]
-        out._add(_sparse(vec))
+    for p, row in both._rows.items():
+        if p >= cols:
+            out._add({j - cols: v for j, v in row.items()})
     return out.reduced_rows()

@@ -164,6 +164,37 @@ def test_seed_flag_is_rejected(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args,flag",
+    [
+        (["verify", "prop1", "--algebra", "sl2r", "--casimir", "1"], "--casimir"),
+        (["verify", "prop1", "--algebra", "sl2r", "--relation", "z"], "--relation"),
+        (["validate", "--algebra", "sl2r", "--relation", "z"], "--relation"),
+        (["validate", "--algebra", "sl2r", "--casimir", "1"], "--casimir"),
+        (["verify", "thm2", "--algebra", "sl2r", "--casimir", "1", "--gen", "x"], "--gen"),
+        (["verify", "nilpotent-ideals", "--algebra", "sl2r", "--gen", "x"], "--gen"),
+        (["verify", "nonexact", "--algebra", "sl2r", "--orbit-type", "nilpotent"], "--orbit-type"),
+        (["verify", "heisenberg", "--orbit-type", "nilpotent"], "--orbit-type"),
+        (["verify", "lemma", "--algebra", "sl2r", "--gen", "x", "--orbit-type", "other"], "--orbit-type"),
+    ],
+    ids=["prop1-casimir", "prop1-relation", "validate-relation", "validate-casimir", "thm2-gen",
+         "nilpotent-gen", "nonexact-orbit-type", "heisenberg-orbit-type", "lemma-orbit-type"],
+)
+def test_ignored_flags_are_usage_errors(args, flag):
+    status, text = run_args([*args, "--max-degree", "2"])
+    assert status == EXIT_USAGE
+    assert flag in text
+
+
+def test_orbit_type_and_gen_accepted_where_read():
+    status, _ = run_args(["verify", "thm2", "--algebra", "sl2r", "--casimir", "1",
+                          "--orbit-type", "semisimple", "--max-degree", "2"])
+    assert status == EXIT_PASS
+    status, _ = run_args(["probe", "simplicity", "--algebra", "sl2r", "--casimir", "0",
+                          "--orbit-type", "nilpotent", "--gen", "z", "--max-degree", "3"])
+    assert status == EXIT_PASS
+
+
 def test_exit_status_matches_report_verdict():
     status, text = run_args(
         ["verify", "prop1", "--algebra", "heisenberg", "--n", "1", "--max-degree", "1", "--json"]

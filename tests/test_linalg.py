@@ -200,3 +200,17 @@ def test_row_space_intersection_trivial():
     a = fr([[1, 0]])
     b = fr([[0, 1]])
     assert row_space_intersection(a, b) == []
+
+
+@given(matrices(max_rows=10), st.data())
+@settings(deadline=None)
+def test_row_space_intersection_matches_oracle(m, data):
+    split = data.draw(st.integers(1, len(m)))
+    a, b = m[:split], m[split:]
+    meet = row_space_intersection(a, b)
+    reduced, pivots = rref(meet)
+    assert meet == reduced[: len(pivots)]
+    for row in meet:
+        assert rref_rank(a + [row]) == rref_rank(a)
+        assert rref_rank(b + [row]) == rref_rank(b)
+    assert len(meet) == rref_rank(a) + rref_rank(b) - rref_rank(a + b)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from liepoisson.liealg import builtin
-from liepoisson.orbit import casimir_orbit
+from liepoisson.orbit import casimir_orbit, make_orbit
 from liepoisson.poisson import PoissonContext
 from liepoisson.poly import Polynomial, monomials_of_degree, parse_polynomial
 from liepoisson.structure import (
@@ -221,6 +221,28 @@ def test_verify_thm2_small_bounds_cap_the_monomial_degree(bound):
     assert max((r["degree"] for r in report.records if r["check"] == "monomial"), default=0) == bound
 
 
+def _heisenberg_orbit(relation):
+    H = builtin("heisenberg", 1)
+    return make_orbit(H, parse_polynomial(relation, H.names))
+
+
+@pytest.mark.parametrize(
+    "orbit",
+    [
+        casimir_orbit(SL2R, 1),
+        casimir_orbit(SO3, 2),
+        _heisenberg_orbit("z - 1"),  # 1 = {q, p} enters at bound 1
+        _heisenberg_orbit("z^2 - 1"),  # 1 = {q, p*z} enters at bound 2
+    ],
+    ids=["sl2r-hyperboloid", "so3-sphere", "heisenberg-z-1", "heisenberg-z2-1"],
+)
+def test_thm2_ladder_matches_derived_membership(orbit):
+    one = Polynomial.constant(orbit.context.nvars, 1)
+    report = verify_thm2(orbit, 4)
+    ladder = [r["membership"] for r in report.records if r["check"] == "constants"]
+    assert ladder == [derived_membership(orbit.context, one, b).value for b in range(5)]
+
+
 def test_verify_heisenberg_counterexample():
     report = verify_heisenberg(casimir_orbit(builtin("heisenberg", 1), 1), 2)
     assert report.verdict == "pass"
@@ -304,6 +326,20 @@ def test_span_edge_cases(check):
     assert span.insert(sl2("x + y^2"))
     assert check(span)
     assert span.rank == 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: derived_span(FREE_SL2R, 2, 3),
+        lambda: poisson_ideal_closure(FREE_SL2R, [sl2("x + y^2")], 2),
+    ],
+    ids=["graded-subspace", "closure"],
+)
+def test_result_contains_edge_cases(build):
+    result = build()
+    assert not result.contains(sl2("x + y^2 + z^3"))
+    assert result.contains(Polynomial.zero(3))
 
 
 def test_closure_input_validation():
