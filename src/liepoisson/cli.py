@@ -62,7 +62,7 @@ class RunConfig:
     casimir: str | None = None
     relation: str | None = None
     max_degree: int | None = None
-    k: int = 1
+    k: int | None = None
     generators: list[str] = field(default_factory=list)
     orbit_type: str | None = None
     json_output: bool = False
@@ -116,6 +116,8 @@ def _reject_ignored_flags(config: RunConfig) -> None:
         raise UsageError(f"--orbit-type does not apply to {name}")
     if config.generators and name not in ("lemma", "simplicity"):
         raise UsageError(f"--gen does not apply to {name}")
+    if config.k is not None and name != "nilpotent-ideals":
+        raise UsageError(f"--k does not apply to {name}")
 
 
 def _degree(config: RunConfig) -> int:
@@ -211,7 +213,7 @@ def _run_verify(config: RunConfig) -> VerificationReport:
         if config.casimir is None and config.relation is None:
             config.casimir = "0"
         orbit = _resolve_orbit(config, algebra)
-        return structure.verify_homogeneous_ideals(orbit, config.k, _degree(config))
+        return structure.verify_homogeneous_ideals(orbit, 1 if config.k is None else config.k, _degree(config))
     if claim == "nonexact":
         algebra = _resolve_algebra(config)
         if config.casimir is None and config.relation is None:
@@ -239,7 +241,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-degree", type=int, help="degree or source bound for the checks")
     parser.add_argument("--gen", action="append", default=[], dest="generators", metavar="EXPR",
                         help="generator polynomial (repeatable)")
-    parser.add_argument("--k", type=int, default=1, help="lowest degree of the homogeneous ideal")
+    parser.add_argument("--k", type=int, help="lowest degree of the homogeneous ideal (default 1)")
     parser.add_argument("--orbit-type", choices=[t.value for t in OrbitType],
                         help="override the orbit classification")
     parser.add_argument("--json", action="store_true", dest="json_output", help="emit the report as JSON")

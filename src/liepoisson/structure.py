@@ -7,8 +7,10 @@ canonical monomials and one exact ``RowBasis`` over their coefficients.
 ``Span.vector`` is the only map from a ``Polynomial`` to coordinates;
 ``insert`` and ``contains`` take polynomials, and ``basis`` freezes the
 reduced echelon rows into a ``GradedSubspace`` or ``ClosureResult``, which
-keeps its ``Span`` to answer ``contains``.  Reports serialize
-deterministically to JSON.
+keeps its ``Span`` to answer ``contains``.  Every bracket span is built from
+the brackets {x_i, m} with a linear first factor, since {f, g} = sum_i
+{x_i, g * df/dx_i}; on an orbit this holds modulo the relation's ideal,
+which is Poisson.  Reports serialize deterministically to JSON.
 """
 
 from __future__ import annotations
@@ -95,70 +97,70 @@ class Span:
         """Canonical reduced echelon rows over the monomials."""
         return tuple(tuple(row) for row in self.rows.reduced_rows())
 
+    def graded(self, degree: int) -> GradedSubspace:
+        return GradedSubspace(degree, self.monomials, self.basis(), self.rank, self)
+
+
+def _free_degree_split(ctx: PoissonContext, degree: int) -> tuple[GradedSubspace, GradedSubspace]:
+    """Center and derived slice of the free algebra at one degree, from one operator.
+
+    D sends a degree-``degree`` monomial m to ({x_1, m}, ..., {x_dim, m}),
+    and each bracket is evaluated once.  The center is ker D (``nullspace``
+    of the stacked blocks of D); the derived slice is the span of the
+    components {x_i, m}, which is all of {P, P} in this degree.
+    """
+    center = Span(ctx.basis_monomials(degree))
+    derived = Span(center.monomials)
+    blocks: list[list[Polynomial]] = [[] for _ in range(ctx.nvars)]
+    for m in center.monomials:
+        pm = Polynomial.monomial(ctx.nvars, m)
+        for i, block in enumerate(blocks):
+            br = ctx.bracket(ctx.variable(i), pm)
+            derived.insert(br)
+            block.append(br)
+    stacked: Matrix = [list(row) for block in blocks for row in zip(*map(derived.vector, block))]
+    for vec in nullspace(stacked):
+        center.rows.insert(vec)
+    return center.graded(degree), derived.graded(degree)
+
 
 def invariants_basis(algebra: LieAlgebra, degree: int) -> GradedSubspace:
-    """Homogeneous polynomials of the given degree killed by every generator.
+    """Homogeneous polynomials of the given degree killed by every generator:
+    for a semisimple algebra, the degree slice of the Poisson center."""
+    return _free_degree_split(PoissonContext.free(algebra), degree)[0]
 
-    Computed as the joint kernel of the bracket-with-generator operators on
-    the degree-``degree`` coefficient space; for a semisimple algebra this
-    is the degree slice of the Poisson center.
+
+def _bracket_sources(ctx: PoissonContext, source_bound: int) -> Iterator[tuple[int, Polynomial]]:
+    """Nonzero reduced brackets {x_i, m}, each with its source bound deg m.
+
+    x_i runs over the normal linear monomials, m over the normal monomials
+    with 1 <= deg m <= ``source_bound``, and a pair of linear monomials is
+    taken once.  They span every monomial bracket {f, g} of bound
+    deg f + deg g - 1 <= ``source_bound``, since {f, g} = sum_i
+    {x_i, g * df/dx_i} (the second-derivative terms cancel by antisymmetry).
+    On an orbit this holds modulo the relation's ideal, which is Poisson.
     """
-    ctx = PoissonContext.free(algebra)
-    span = Span(ctx.basis_monomials(degree))
-    stacked: Matrix = []
-    for i in range(algebra.dim):
-        gen = algebra.variable(i)
-        columns = [
-            span.vector(ctx.bracket(gen, Polynomial.monomial(algebra.dim, m)))
-            for m in span.monomials
-        ]
-        stacked.extend(list(row) for row in zip(*columns))
-    for vec in nullspace(stacked):
-        span.rows.insert(vec)
-    return GradedSubspace(degree, span.monomials, span.basis(), span.rank, span)
+    linear = [Polynomial.monomial(ctx.nvars, m) for m in ctx.basis_monomials(1)]
+    for d in range(1, source_bound + 1):
+        for b, m in enumerate(ctx.basis_monomials(d)):
+            pm = Polynomial.monomial(ctx.nvars, m)
+            for x in linear if d > 1 else linear[:b]:
+                br = ctx.bracket(x, pm)
+                if br:
+                    yield d, br
 
 
-def _bracket_sources(
-    ctx: PoissonContext, source_bound: int, all_pairs: bool
-) -> Iterator[tuple[int, Polynomial]]:
-    """Nonzero reduced brackets of monomial pairs, each with its source bound.
-
-    A pair (m_a, m_b) has bound deg m_a + deg m_b - 1; pairs within
-    ``source_bound`` are enumerated, each unordered pair once (antisymmetry
-    makes the other order redundant).  With ``all_pairs`` false, first
-    factors are restricted to the linear monomials (sufficient for the free
-    graded splitting; the full pair set is kept for cross-validation and
-    quotient spans).
-    """
-    pool = [(d, Polynomial.monomial(ctx.nvars, m))
-            for d in range(1, source_bound + 1) for m in ctx.basis_monomials(d)]
-    for b, (db, pb) in enumerate(pool):
-        for da, pa in pool[:b]:
-            if da + db - 1 > source_bound or (da > 1 and not all_pairs):
-                break  # pool ascends in degree, so no later first factor fits
-            br = ctx.bracket(pa, pb)
-            if br:
-                yield da + db - 1, br
-
-
-def derived_span(
-    ctx: PoissonContext,
-    degree: int,
-    source_bound: int,
-    all_pairs: bool = False,
-) -> GradedSubspace:
-    """Span of the degree-``degree`` components of reduced monomial brackets.
-
-    Sources range over monomial pairs whose bracket degree is bounded by
-    ``source_bound``.  In free mode, with ``source_bound = degree + 1`` and
-    linear first factors, this is the degree slice of the span of all
-    brackets (the derived ideal), since brackets with higher-degree factors
-    reduce to brackets with linear ones.
+def derived_span(ctx: PoissonContext, degree: int, source_bound: int) -> GradedSubspace:
+    """Span of the degree-``degree`` components of the brackets {x_i, m} with
+    deg m <= ``source_bound``, which by {f, g} = sum_i {x_i, g * df/dx_i}
+    (modulo the Poisson ideal on an orbit) is that of every monomial bracket
+    at the bound.  In the free algebra, ``source_bound = degree + 1`` gives
+    the degree slice of {P, P}.
     """
     span = Span(ctx.basis_monomials(degree))
-    for _, br in _bracket_sources(ctx, source_bound, all_pairs):
+    for _, br in _bracket_sources(ctx, source_bound):
         span.insert(br.graded_component(degree))
-    return GradedSubspace(degree, span.monomials, span.basis(), span.rank, span)
+    return span.graded(degree)
 
 
 def derived_membership(ctx: PoissonContext, f: Polynomial, source_bound: int) -> Membership:
@@ -169,7 +171,7 @@ def derived_membership(ctx: PoissonContext, f: Polynomial, source_bound: int) ->
     """
     f = ctx.reduce(f)
     span = Span(ctx.basis_monomials_up_to(max(source_bound, f.degree())))
-    if _entry_bound(span, _bracket_sources(ctx, source_bound, all_pairs=True), f) is None:
+    if _entry_bound(span, _bracket_sources(ctx, source_bound), f) is None:
         return Membership.NOT_IN_SPAN_AT_BOUND
     return Membership.IN_SPAN
 
@@ -270,13 +272,10 @@ def verify_prop1(algebra: LieAlgebra, max_degree: int) -> VerificationReport:
         report.notes.append("algebra is not semisimple; the splitting is expected to fail")
     ctx = PoissonContext.free(algebra)
     for n in range(max_degree + 1):
-        center = invariants_basis(algebra, n)
+        center, derived = _free_degree_split(ctx, n)
         ambient = len(center.monomials)
-        derived = derived_span(ctx, n, n + 1)
         union = RowBasis(ambient)
-        for row in center.basis:
-            union.insert(row)
-        for row in derived.basis:
+        for row in center.basis + derived.basis:
             union.insert(row)
         sum_ok = center.rank + derived.rank == ambient
         direct_ok = union.rank == ambient
@@ -333,7 +332,7 @@ def verify_thm2(
         },
     )
     # The sources of each lower bound are those tagged with at most that bound.
-    sources = list(_bracket_sources(ctx, max_bound, all_pairs=True))
+    sources = list(_bracket_sources(ctx, max_bound))
     one = ctx.reduce(Polynomial.constant(ctx.nvars, 1))
     entry = _entry_bound(Span(ctx.basis_monomials_up_to(max_bound)), sources, one)
     for bound in range(max_bound + 1):

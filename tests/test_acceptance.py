@@ -73,7 +73,7 @@ def test_criterion_2_hyperboloid_two_sided_splitting():
             assert derived_membership(ctx, one, bound) is Membership.NOT_IN_SPAN_AT_BOUND
         checked = 0
         for degree in (1, 2, 3):
-            span = derived_span(ctx, degree, 5, all_pairs=True)
+            span = derived_span(ctx, degree, 5)
             for m in ctx.basis_monomials(degree):
                 assert span.contains(Polynomial.monomial(3, m))
                 checked += 1

@@ -176,9 +176,10 @@ def test_seed_flag_is_rejected(capsys):
         (["verify", "nonexact", "--algebra", "sl2r", "--orbit-type", "nilpotent"], "--orbit-type"),
         (["verify", "heisenberg", "--orbit-type", "nilpotent"], "--orbit-type"),
         (["verify", "lemma", "--algebra", "sl2r", "--gen", "x", "--orbit-type", "other"], "--orbit-type"),
+        (["verify", "thm2", "--algebra", "sl2r", "--casimir", "1", "--k", "1"], "--k"),
     ],
     ids=["prop1-casimir", "prop1-relation", "validate-relation", "validate-casimir", "thm2-gen",
-         "nilpotent-gen", "nonexact-orbit-type", "heisenberg-orbit-type", "lemma-orbit-type"],
+         "nilpotent-gen", "nonexact-orbit-type", "heisenberg-orbit-type", "lemma-orbit-type", "thm2-k"],
 )
 def test_ignored_flags_are_usage_errors(args, flag):
     status, text = run_args([*args, "--max-degree", "2"])
@@ -193,6 +194,17 @@ def test_orbit_type_and_gen_accepted_where_read():
     status, _ = run_args(["probe", "simplicity", "--algebra", "sl2r", "--casimir", "0",
                           "--orbit-type", "nilpotent", "--gen", "z", "--max-degree", "3"])
     assert status == EXIT_PASS
+
+
+def test_k_defaults_to_one_and_is_checked_on_nilpotent_ideals():
+    base = ["verify", "nilpotent-ideals", "--algebra", "sl2r", "--max-degree", "3", "--json"]
+    status, text = run_args(base)
+    assert status == EXIT_PASS
+    assert json.loads(text)["params"]["k"] == 1
+    assert run_args([*base, "--k", "1"]) == (status, text)
+    status, text = run_args([*base, "--k", "0"])
+    assert status == EXIT_USAGE
+    assert "at least 1" in text
 
 
 def test_exit_status_matches_report_verdict():

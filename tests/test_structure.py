@@ -5,11 +5,13 @@ Derived expectations are recomputed here through independent routes
 being compared with the package's elimination results.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from liepoisson.liealg import builtin
+from liepoisson.linalg import RowBasis
 from liepoisson.orbit import casimir_orbit, make_orbit
 from liepoisson.poisson import PoissonContext
 from liepoisson.poly import Polynomial, monomials_of_degree, parse_polynomial
@@ -17,6 +19,8 @@ from liepoisson.structure import (
     Membership,
     Span,
     VerificationReport,
+    _bracket_sources,
+    _free_degree_split,
     derived_membership,
     derived_span,
     ideal_square_check,
@@ -30,7 +34,8 @@ from liepoisson.structure import (
     verify_thm2,
 )
 
-from oracles import leibniz_bracket, rref_rank
+from oracles import division_normal_form, leibniz_bracket, rref_rank
+from test_poisson import SCALED_SL2R
 
 SL2R = builtin("sl2r")
 SO3 = builtin("so3")
@@ -112,7 +117,7 @@ def test_derived_span_monotone_in_source_bound():
     ctx = casimir_orbit(SL2R, 1).context
     previous = None
     for bound in range(2, 6):
-        sub = derived_span(ctx, 2, bound, all_pairs=True)
+        sub = derived_span(ctx, 2, bound)
         if previous is not None:
             assert sub.rank >= previous.rank
             for row in previous.basis:
@@ -135,8 +140,6 @@ def test_pair_span_equals_linear_span_degreewise(m, n):
             row[index[mm]] = c
         return row
 
-    from liepoisson.linalg import RowBasis
-
     pair_rows = RowBasis(len(mons))
     for ma in monomials_of_degree(3, m):
         for mb in monomials_of_degree(3, n):
@@ -150,6 +153,92 @@ def test_pair_span_equals_linear_span_degreewise(m, n):
             if br:
                 linear_rows.insert(vec(br))
     assert pair_rows.reduced_rows() == linear_rows.reduced_rows()
+
+
+def _heisenberg_orbit(relation):
+    H = builtin("heisenberg", 1)
+    return make_orbit(H, parse_polynomial(relation, H.names))
+
+
+SPAN_CONTEXTS = {
+    "free-sl2r": lambda: FREE_SL2R,
+    "sl2r-hyperboloid": lambda: casimir_orbit(SL2R, 1).context,
+    "sl2r-cone": lambda: casimir_orbit(SL2R, 0).context,
+    "so3-sphere": lambda: casimir_orbit(SO3, 1).context,
+    "heisenberg-z-1": lambda: _heisenberg_orbit("z - 1").context,  # z is not a normal monomial
+    "heisenberg-z2-1": lambda: _heisenberg_orbit("z^2 - 1").context,
+}
+
+
+@pytest.mark.parametrize("name", SPAN_CONTEXTS)
+def test_pair_span_equals_bracket_sources_per_bound(name):
+    # {f, g} = sum_i {x_i, g df/dx_i}, modulo the Poisson ideal on an orbit:
+    # every monomial pair of bound deg a + deg b - 1 <= B, normal or not,
+    # spans what the sources {x_i, m} with deg m <= B span
+    ctx = SPAN_CONTEXTS[name]()
+    top, n = 5, ctx.nvars
+
+    def reduced(p):
+        return division_normal_form(p, ctx.ideal.relation, ctx.order) if ctx.is_quotient else p
+
+    mons = [m for d in range(top + 1) for m in monomials_of_degree(n, d)]
+    index = {m: i for i, m in enumerate(mons)}
+    pairs = [
+        (sum(a) + sum(b) - 1, reduced(leibniz_bracket(ctx.algebra, Polynomial.monomial(n, a),
+                                                      Polynomial.monomial(n, b))))
+        for a in mons for b in mons if sum(a) and sum(b) and sum(a) + sum(b) - 1 <= top
+    ]
+
+    def row_span(polys):
+        rows = RowBasis(len(mons))
+        for p in polys:
+            row = [Fraction(0)] * len(mons)
+            for m, c in p.terms.items():
+                row[index[m]] = c
+            rows.insert(row)
+        return rows.reduced_rows()
+
+    # the sources are exactly the nonzero {x_i, m} over normal linear x_i and
+    # normal m, each pair of linear monomials once; compared up to sign
+    def key(bound, p):
+        terms = sorted(p.terms.items())
+        sign = 1 if terms[0][1] > 0 else -1
+        return bound, tuple((m, sign * c) for m, c in terms)
+
+    normal = [m for m in mons if reduced(Polynomial.monomial(n, m)) == Polynomial.monomial(n, m)]
+    expected = Counter()
+    for m in normal:
+        for x in (x for x in normal if sum(x) == 1 and (sum(m) > 1 or x < m)):
+            br = reduced(leibniz_bracket(ctx.algebra, Polynomial.monomial(n, x), Polynomial.monomial(n, m)))
+            if br:
+                expected[key(sum(m), br)] += 1
+    all_sources = list(_bracket_sources(ctx, top))
+    assert Counter(key(*s) for s in all_sources) == expected
+    for bound in range(top + 1):
+        sources = list(_bracket_sources(ctx, bound))
+        assert sources == [s for s in all_sources if s[0] <= bound]
+        assert all(br for _, br in sources)
+        assert row_span(br for _, br in sources) == row_span(br for b, br in pairs if b <= bound)
+
+
+FREE_SPLIT_ALGEBRAS = {
+    "sl2r": SL2R,
+    "so3": SO3,
+    "heisenberg1": builtin("heisenberg", 1),
+    "heisenberg2": builtin("heisenberg", 2),
+    "scaled-sl2r": SCALED_SL2R,
+}
+
+
+@pytest.mark.parametrize("name", FREE_SPLIT_ALGEBRAS)
+def test_free_degree_split_matches_derived_span_and_oracle(name):
+    algebra = FREE_SPLIT_ALGEBRAS[name]
+    ctx = PoissonContext.free(algebra)
+    for n in range(7):
+        center, derived = _free_degree_split(ctx, n)
+        assert derived.basis == derived_span(ctx, n, n + 1).basis
+        if len(center.monomials) <= 70:  # the dense oracle is slow beyond this
+            assert center.rank == oracle_invariant_dimension(algebra, n)
 
 
 PROP1_SL2R_DIMS = [
@@ -219,11 +308,6 @@ def test_verify_thm2_small_bounds_cap_the_monomial_degree(bound):
     assert report.verdict == "pass"
     assert report.params["monomial_degree_cap"] == bound
     assert max((r["degree"] for r in report.records if r["check"] == "monomial"), default=0) == bound
-
-
-def _heisenberg_orbit(relation):
-    H = builtin("heisenberg", 1)
-    return make_orbit(H, parse_polynomial(relation, H.names))
 
 
 @pytest.mark.parametrize(
