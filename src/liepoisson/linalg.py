@@ -1,16 +1,17 @@
 """Exact linear algebra over the rationals.
 
-The public API takes and returns dense vectors (lists of ``Fraction``) and
-matrices (lists of row vectors).  Underneath is one sparse, fraction-free
-elimination engine, ``RowBasis``: each row is a ``dict`` from column to its
-nonzero integer entry, scaled to coprime integers.  A vector is reduced by
-repeatedly clearing its leading column with the stored row pivoted there,
+One sparse, fraction-free elimination engine, ``RowBasis``, takes rows as
+lists of ``(column, nonzero value)`` pairs and stores each as a ``dict``
+from column to integer entry, scaled to coprime integers.  A row is reduced
+by repeatedly clearing its leading column with the stored row pivoted there,
 using the cross-multiplication ``b*row - a*stored`` followed by division by
 the gcd of the entries, so only nonzero entries are ever touched and no
 rational arithmetic happens until results are read out.  Pivots are always
-the leading column, so the reduced echelon form, its pivot set, the
-solution with free variables zero and the kernel basis are canonical.
-Row-space intersection is one Zassenhaus elimination on the same engine.
+the leading column, so the reduced echelon form, its pivot set, the solution
+with free variables zero and the kernel basis are canonical.  The dense API
+(vectors are lists of ``Fraction``, matrices lists of rows) sits on the same
+engine and scales its rows with the same helper; sums and intersections of
+row spaces are one Zassenhaus elimination.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Iterable, Sequence
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
 Row = dict[int, int]
+Pairs = list[tuple[int, Fraction | int]]
 
 
 def _check_rectangular(m: Sequence[Sequence[Fraction]]) -> int:
@@ -43,11 +45,10 @@ def _content_reduce(row: Row) -> Row:
     return row
 
 
-def _sparse(vec: Iterable[Fraction | int]) -> Row:
-    """Nonzero entries of a rational vector, scaled to coprime integers."""
-    nonzero = {j: a for j, a in enumerate(vec) if a}
-    scale = lcm(*(a.denominator for a in nonzero.values()))
-    return _content_reduce({j: a.numerator * (scale // a.denominator) for j, a in nonzero.items()})
+def _scaled(pairs: Pairs) -> Row:
+    """A sparse rational row as a dict, scaled to coprime integers."""
+    scale = lcm(*(a.denominator for _, a in pairs))
+    return _content_reduce({j: a.numerator * (scale // a.denominator) for j, a in pairs})
 
 
 def _eliminate(row: Row, pivot_row: Row, col: int) -> Row:
@@ -68,7 +69,7 @@ class RowBasis:
     """Incrementally maintained row space with exact membership queries.
 
     Rows are sparse integer rows keyed by their pivot, which is always the
-    row's leading column; insertion and membership reduce a vector against
+    row's leading column; insertion and membership reduce a row against
     them until its leading column is not a pivot or it vanishes.
     """
 
@@ -108,17 +109,48 @@ class RowBasis:
             done[p] = row
         return dict(sorted(done.items()))
 
-    def _row(self, vec: Sequence[Fraction | int]) -> Row:
-        if len(vec) != self.width:
-            raise ValueError(f"vector length {len(vec)} does not match width {self.width}")
-        return _sparse(vec)
+    def _row(self, pairs: Pairs) -> Row:
+        row = _scaled(pairs)
+        if len(row) != len(pairs):
+            raise ValueError("sparse row repeats a column")
+        if row and not (0 <= min(row) and max(row) < self.width):
+            raise ValueError(f"sparse row has a column outside [0, {self.width})")
+        if not all(row.values()):
+            raise ValueError("sparse row has a zero value")
+        return row
 
-    def insert(self, vec: Sequence[Fraction | int]) -> bool:
-        """Add a vector; return True if it enlarged the span."""
-        return self._add(self._row(vec))
+    def insert(self, pairs: Pairs) -> bool:
+        """Add a row of (column, nonzero value) pairs; True if the span grew."""
+        return self._add(self._row(pairs))
 
-    def contains(self, vec: Sequence[Fraction | int]) -> bool:
-        return not self._reduce(self._row(vec))
+    def contains(self, pairs: Pairs) -> bool:
+        return not self._reduce(self._row(pairs))
+
+    def tail(self, k: int) -> list[Pairs]:
+        """Stored rows pivoted at column ``k`` or later, shifted left by ``k``:
+        they span the part of the row space that vanishes before column ``k``."""
+        return [[(j - k, a) for j, a in row.items()] for p, row in self._rows.items() if p >= k]
+
+    def sum_and_intersection(self, other: RowBasis) -> tuple[int, RowBasis]:
+        """Rank of the sum of two row spaces and a basis of their intersection.
+
+        Zassenhaus: echelonize ``[r | r]`` for the rows of ``self`` and
+        ``[r | 0]`` for those of ``other``; the rows pivoted in the left half
+        span the sum, and the others are ``[0 | v]`` with ``v`` spanning the
+        intersection.
+        """
+        w = self.width
+        if other.width != w:
+            raise ValueError("row spaces live in different ambient dimensions")
+        both = RowBasis(2 * w)
+        for row in self._rows.values():
+            both._add({**row, **{j + w: a for j, a in row.items()}})
+        for row in other._rows.values():
+            both._add(dict(row))
+        meet = RowBasis(w)
+        for row in both.tail(w):
+            meet._add(dict(row))
+        return both.rank - meet.rank, meet
 
     def reduced_rows(self) -> Matrix:
         """Canonical reduced echelon basis (pivot entries 1, zeros above)."""
@@ -134,7 +166,7 @@ class RowBasis:
 def _basis_of(rows: Iterable[Sequence[Fraction]], width: int) -> RowBasis:
     rb = RowBasis(width)
     for row in rows:
-        rb._add(_sparse(row))
+        rb._add(_scaled([(j, a) for j, a in enumerate(row) if a]))
     return rb
 
 
@@ -148,7 +180,7 @@ def in_span(v: Sequence[Fraction], basis: Matrix) -> bool:
     cols = _check_rectangular(basis)
     if basis and len(v) != cols:
         raise ValueError(f"vector length {len(v)} does not match basis width {cols}")
-    return not _basis_of(basis, len(v))._reduce(_sparse(v))
+    return _basis_of(basis, len(v)).contains([(j, a) for j, a in enumerate(v) if a])
 
 
 def solve_linear(a: Matrix, b: Sequence[Fraction]) -> Vector | None:
@@ -211,20 +243,8 @@ def reduce_vector(v: Sequence[Fraction], rows: Sequence[Sequence[Fraction]]) -> 
 
 
 def row_space_intersection(a: Matrix, b: Matrix) -> list[Vector]:
-    """Basis of the intersection of the row spaces of ``a`` and ``b``.
-
-    Zassenhaus: echelonize ``[r | r]`` for the rows of ``a`` and ``[r | 0]``
-    for those of ``b``; the rows pivoted in the right half are ``[0 | v]``,
-    and their ``v`` span the intersection.
-    """
+    """Basis of the intersection of the row spaces of ``a`` and ``b``."""
     if not a or not b:
         return []
-    cols = _check_rectangular(a)
-    if _check_rectangular(b) != cols:
-        raise ValueError("row spaces live in different ambient dimensions")
-    both = _basis_of([*([*r, *r] for r in a), *([*r, *[0] * cols] for r in b)], 2 * cols)
-    out = RowBasis(cols)
-    for p, row in both._rows.items():
-        if p >= cols:
-            out._add({j - cols: v for j, v in row.items()})
-    return out.reduced_rows()
+    rows_a, rows_b = (_basis_of(m, _check_rectangular(m)) for m in (a, b))
+    return rows_a.sum_and_intersection(rows_b)[1].reduced_rows()

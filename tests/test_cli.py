@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report formats, and determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -155,6 +156,31 @@ def test_json_reports_are_byte_identical_across_runs():
         assert text1 == text2
         payload = json.loads(text1)
         assert payload["verdict"] == ("pass" if status1 == EXIT_PASS else "fail")
+
+
+# SHA-256 of --json reports whose bounds lie outside the benchmark's ladder,
+# pinned so that a change to the elimination or the bracket sources that
+# alters a report fails here too.
+PINNED_REPORTS = [
+    (["verify", "nonexact", "--algebra", "sl2r", "--max-degree", "5"], EXIT_PASS,
+     "1137c5a1bff54096d7335cbbfa0983361fdf92ace7760561a995d8eb8dfbf6f2"),
+    (["verify", "nonexact", "--algebra", "sl2r", "--max-degree", "12"], EXIT_PASS,
+     "947a9697af8a04a0b44b6afb20d26125d6390a2619034935559de8783353a0d4"),
+    (["verify", "prop1", "--algebra", "sl2r", "--max-degree", "12"], EXIT_PASS,
+     "ab7a37bc45aad5ff57f7d18eb754a449158e2893e9e9bac51eb0629cc3c04aaf"),
+    (["verify", "prop1", "--algebra", "heisenberg", "--n", "3", "--max-degree", "5"], EXIT_FAIL,
+     "e66522318c22b1cf2b6048f6ede4c7e3bf8db8e734175eac53443ea360287948"),
+]
+
+
+@pytest.mark.parametrize(
+    "args,status,digest",
+    PINNED_REPORTS,
+    ids=["nonexact-5", "nonexact-12", "prop1-sl2r-12", "prop1-heisenberg3-5"],
+)
+def test_pinned_json_report_digests(capsys, args, status, digest):
+    assert main([*args, "--json"]) == status
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_seed_flag_is_rejected(capsys):

@@ -24,6 +24,11 @@ def fr(rows):
     return [[F(x) for x in row] for row in rows]
 
 
+def pairs(row):
+    """The (column, nonzero value) pairs that RowBasis takes for a dense row."""
+    return [(j, a) for j, a in enumerate(row) if a]
+
+
 def test_rank_proportional_rows():
     assert rank(fr([[1, 2], [2, 4]])) == 1
 
@@ -121,10 +126,10 @@ def test_nullspace_vectors_annihilate(m):
 def test_rowbasis_membership_matches_in_span(m):
     rb = RowBasis(len(m[0]))
     for row in m:
-        rb.insert(row)
+        rb.insert(pairs(row))
     assert rb.rank == rref_rank(m)
     for row in m:
-        assert rb.contains(row)
+        assert rb.contains(pairs(row))
 
 
 @given(matrices(), st.randoms(use_true_random=False))
@@ -132,13 +137,53 @@ def test_rowbasis_membership_matches_in_span(m):
 def test_reduced_rows_canonical_under_insertion_order(m, rng):
     rb1 = RowBasis(len(m[0]))
     for row in m:
-        rb1.insert(row)
+        rb1.insert(pairs(row))
     shuffled = list(m)
     rng.shuffle(shuffled)
     rb2 = RowBasis(len(m[0]))
     for row in shuffled:
-        rb2.insert(row)
+        rb2.insert(pairs(row))
     assert rb1.reduced_rows() == rb2.reduced_rows()
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[(3, F(1))], [(-1, F(1))]],
+    ids=["column-at-width", "negative-column"],
+)
+def test_rowbasis_rejects_column_outside_width(row):
+    rb = RowBasis(3)
+    for method in (rb.insert, rb.contains):
+        with pytest.raises(ValueError):
+            method(row)
+    assert rb.rank == 0
+
+
+def test_rowbasis_rejects_zero_value():
+    rb = RowBasis(3)
+    for method in (rb.insert, rb.contains):
+        with pytest.raises(ValueError):
+            method([(0, F(1)), (2, F(0))])
+    assert rb.rank == 0
+
+
+def test_rowbasis_rejects_repeated_column():
+    rb = RowBasis(3)
+    for method in (rb.insert, rb.contains):
+        with pytest.raises(ValueError):
+            method([(1, F(1)), (1, F(2))])
+    assert rb.rank == 0
+
+
+def test_rowbasis_tail_spans_rows_vanishing_before_the_split():
+    rb = RowBasis(4)
+    for row in ([(0, 1), (2, 1)], [(0, 1), (3, 2)], [(1, F(1, 2)), (2, 1)]):
+        rb.insert(row)
+    # the rows vanishing on columns 0 and 1 form the line through (1, -2)
+    tail = RowBasis(2)
+    for row in rb.tail(2):
+        tail.insert(row)
+    assert tail.reduced_rows() == [[F(1), F(-2)]]
 
 
 SMALL_NONZERO = sorted({F(n, d) for n in (-4, -3, -2, -1, 1, 2, 3, 4) for d in (1, 2, 3)})
@@ -165,7 +210,7 @@ def sparse_matrices(draw):
 def test_sparse_reduced_rows_match_oracle_rref(m):
     rb = RowBasis(len(m[0]))
     for row in m:
-        rb.insert(row)
+        rb.insert(pairs(row))
     reduced, pivots = rref(m)
     assert rb.reduced_rows() == reduced[: len(pivots)]
 
@@ -200,6 +245,11 @@ def test_row_space_intersection_trivial():
     a = fr([[1, 0]])
     b = fr([[0, 1]])
     assert row_space_intersection(a, b) == []
+
+
+def test_row_space_intersection_dimension_mismatch():
+    with pytest.raises(ValueError):
+        row_space_intersection(fr([[1, 0]]), fr([[1]]))
 
 
 @given(matrices(max_rows=10), st.data())
