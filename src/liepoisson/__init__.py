@@ -43,7 +43,6 @@ from .poly import (
 )
 from .structure import (
     ClosureResult,
-    GradedSubspace,
     Membership,
     VerificationReport,
     derived_membership,
@@ -65,7 +64,6 @@ __all__ = [
     "BracketClosureError",
     "ClosureResult",
     "GradedLexOrder",
-    "GradedSubspace",
     "InvalidLieAlgebraError",
     "LieAlgebra",
     "LieAlgebraFormatError",

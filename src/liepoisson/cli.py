@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +26,7 @@ from .liealg import (
     validate,
 )
 from .orbit import OrbitDescriptor, OrbitType, casimir_orbit, make_orbit
-from .poisson import BracketClosureError
+from .poisson import BracketClosureError, PoissonContext
 from .poly import PolynomialSyntaxError, parse_polynomial
 from .structure import VerificationReport
 
@@ -45,6 +45,9 @@ DEFAULT_DEGREES = {
     "lemma": 4,
     "simplicity": 4,
 }
+
+# Casimir level of the orbit a claim runs on when neither --casimir nor --relation is given.
+DEFAULT_LEVELS = {"heisenberg": "1", "nilpotent-ideals": "0", "nonexact": "1"}
 
 
 class UsageError(ValueError):
@@ -96,11 +99,12 @@ def _resolve_orbit(config: RunConfig, algebra: LieAlgebra) -> OrbitDescriptor:
     if config.relation is not None:
         relation = parse_polynomial(config.relation, algebra.names)
         return make_orbit(algebra, relation, orbit_type=override)
-    if config.casimir is not None:
+    casimir = config.casimir if config.casimir is not None else DEFAULT_LEVELS.get(config.claim)
+    if casimir is not None:
         try:
-            level = Fraction(config.casimir)
+            level = Fraction(casimir)
         except (ValueError, ZeroDivisionError):
-            raise UsageError(f"--casimir expects a rational like 1 or -3/2, got '{config.casimir}'")
+            raise UsageError(f"--casimir expects a rational like 1 or -3/2, got '{casimir}'")
         return casimir_orbit(algebra, level, orbit_type=override)
     raise UsageError("an orbit is required (--casimir <p/q> or --relation \"<expr>\")")
 
@@ -199,26 +203,16 @@ def _run_verify(config: RunConfig) -> VerificationReport:
         orbit = _resolve_orbit(config, algebra)
         return structure.verify_thm2(orbit, _degree(config))
     if claim == "heisenberg":
-        if config.algebra is None:
-            config.algebra = "heisenberg"
-        if config.algebra != "heisenberg":
+        if config.algebra not in (None, "heisenberg"):
             raise UsageError("verify heisenberg runs on the heisenberg algebra")
-        algebra = _resolve_algebra(config)
-        if config.casimir is None and config.relation is None:
-            config.casimir = "1"
+        algebra = _resolve_algebra(replace(config, algebra="heisenberg"))
         orbit = _resolve_orbit(config, algebra)
         return structure.verify_heisenberg(orbit, _degree(config))
     if claim == "nilpotent-ideals":
-        algebra = _resolve_algebra(config)
-        if config.casimir is None and config.relation is None:
-            config.casimir = "0"
-        orbit = _resolve_orbit(config, algebra)
+        orbit = _resolve_orbit(config, _resolve_algebra(config))
         return structure.verify_homogeneous_ideals(orbit, 1 if config.k is None else config.k, _degree(config))
     if claim == "nonexact":
-        algebra = _resolve_algebra(config)
-        if config.casimir is None and config.relation is None:
-            config.casimir = "1"
-        orbit = _resolve_orbit(config, algebra)
+        orbit = _resolve_orbit(config, _resolve_algebra(config))
         return structure.nonexactness_check(orbit, _degree(config))
     if claim == "lemma":
         algebra = _resolve_algebra(config)
@@ -226,8 +220,6 @@ def _run_verify(config: RunConfig) -> VerificationReport:
         if config.casimir is not None or config.relation is not None:
             ctx = _resolve_orbit(config, algebra).context
         else:
-            from .poisson import PoissonContext
-
             ctx = PoissonContext.free(algebra)
         return structure.ideal_square_check(ctx, gens, _degree(config))
     raise UsageError(f"unknown verify claim '{claim}'")

@@ -99,8 +99,10 @@ class RowBasis:
         self._rows[min(row)] = row
         return True
 
-    def _rref(self) -> dict[int, Row]:
-        """Back-substituted rows in pivot order: zero in every other pivot column."""
+    def rref(self) -> dict[int, Row]:
+        """Back-substituted rows keyed by pivot, in pivot order: each is zero in
+        every other pivot column, and dividing it by its pivot entry gives the
+        canonical reduced echelon row."""
         done: dict[int, Row] = {}
         for p in sorted(self._rows, reverse=True):
             row = self._rows[p]
@@ -155,7 +157,7 @@ class RowBasis:
     def reduced_rows(self) -> Matrix:
         """Canonical reduced echelon basis (pivot entries 1, zeros above)."""
         out: Matrix = []
-        for p, row in self._rref().items():
+        for p, row in self.rref().items():
             vec = [Fraction(0)] * self.width
             for j, a in row.items():
                 vec[j] = Fraction(a, row[p])
@@ -197,7 +199,7 @@ def solve_linear(a: Matrix, b: Sequence[Fraction]) -> Vector | None:
     if n in rb._rows:
         return None
     x: Vector = [Fraction(0)] * n
-    for p, row in rb._rref().items():
+    for p, row in rb.rref().items():
         x[p] = Fraction(row.get(n, 0), row[p])
     return x
 
@@ -207,7 +209,7 @@ def nullspace(a: Matrix) -> list[Vector]:
     n = _check_rectangular(a)
     if not a:
         return []
-    rref = _basis_of(a, n)._rref()
+    rref = _basis_of(a, n).rref()
     kernel: dict[int, Vector] = {}
     for fc in range(n):
         if fc not in rref:

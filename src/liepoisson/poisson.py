@@ -155,10 +155,9 @@ class PoissonContext:
         return cached
 
     def basis_monomials_up_to(self, degree: int) -> tuple[Monomial, ...]:
-        out: list[Monomial] = []
-        for d in range(degree + 1):
-            out.extend(self.basis_monomials(d))
-        return tuple(self.order.sort(out))
+        """Canonical monomials of degree at most ``degree``, descending in the
+        order: the graded order puts higher degrees first."""
+        return tuple(m for d in range(degree, -1, -1) for m in self.basis_monomials(d))
 
 
 def jacobi_defect(ctx: PoissonContext, f: Polynomial, g: Polynomial, h: Polynomial) -> Polynomial:

@@ -366,13 +366,9 @@ def monomials_of_degree(nvars: int, degree: int, order: GradedLexOrder | None = 
 
 
 def monomials_up_to(nvars: int, degree: int, order: GradedLexOrder | None = None) -> list[Monomial]:
-    """All exponent tuples of total degree at most ``degree``, descending."""
-    if order is None:
-        order = GradedLexOrder.default(nvars)
-    out: list[Monomial] = []
-    for d in range(degree + 1):
-        out.extend(monomials_of_degree(nvars, d, order))
-    return order.sort(out)
+    """All exponent tuples of total degree at most ``degree``, descending:
+    the graded order puts higher degrees first."""
+    return [m for d in range(degree, -1, -1) for m in monomials_of_degree(nvars, d, order)]
 
 
 class PolynomialSyntaxError(ValueError):

@@ -5,14 +5,16 @@ algebraic statement, and verdicts are always relative to the stated degree
 or source bound.  Each bounded subspace is a ``Span``: a fixed tuple of
 canonical monomials and one exact ``RowBasis`` over their coefficients.
 ``Span.vector`` is the only map from a ``Polynomial`` to coordinates;
-``insert`` and ``contains`` take polynomials, and ``basis`` freezes the
-reduced echelon rows into a ``GradedSubspace`` or ``ClosureResult``, which
-keeps its ``Span`` to answer ``contains``.  Coordinates stay sparse: a
-polynomial enters its span's ``RowBasis`` as (column, coefficient) pairs,
-and kernels and intersections are read off one elimination each.  Every
-bracket span is built from the brackets {x_i, m} with a linear first factor,
-since {f, g} = sum_i {x_i, g * df/dx_i}; on an orbit this holds modulo the
-relation's ideal, which is Poisson.  Reports serialize deterministically.
+``insert`` and ``contains`` take polynomials, and ``basis`` reads the
+canonical reduced echelon basis back as polynomials.  A claim's subspace is
+returned as the ``Span`` that built it (``derived_span``,
+``invariants_basis``) or inside a ``ClosureResult`` next to its verdicts.
+Coordinates stay sparse: a polynomial enters its span's ``RowBasis`` as
+(column, coefficient) pairs, and kernels and intersections are read off one
+elimination each.  Every bracket span is built from the brackets {x_i, m}
+with a linear first factor, since {f, g} = sum_i {x_i, g * df/dx_i}; on an
+orbit this holds modulo the relation's ideal, which is Poisson.  Reports
+serialize deterministically.
 """
 
 from __future__ import annotations
@@ -37,24 +39,6 @@ from .poly import Monomial, Polynomial, monomial_degree
 class Membership(Enum):
     IN_SPAN = "in_span"
     NOT_IN_SPAN_AT_BOUND = "not_in_span_at_bound"
-
-
-@dataclass
-class GradedSubspace:
-    """A subspace of the degree-``degree`` coefficient space.
-
-    ``monomials`` fixes the ambient coordinate order; ``basis`` holds the
-    canonical reduced echelon rows spanning the subspace.
-    """
-
-    degree: int
-    monomials: tuple[Monomial, ...]
-    basis: tuple[tuple[Fraction, ...], ...]
-    rank: int
-    _span: Span = field(repr=False, compare=False)
-
-    def contains(self, p: Polynomial) -> bool:
-        return self._span.contains(p)
 
 
 class Span:
@@ -94,12 +78,17 @@ class Span:
         vec = self.vector(p)
         return vec is not None and self.rows.contains(vec)
 
-    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Canonical reduced echelon rows over the monomials."""
-        return tuple(tuple(row) for row in self.rows.reduced_rows())
+    def basis(self) -> list[Polynomial]:
+        """Canonical reduced echelon basis, one polynomial per pivot monomial."""
+        return _polynomials(self.monomials, self.rows)
 
-    def graded(self, degree: int) -> GradedSubspace:
-        return GradedSubspace(degree, self.monomials, self.basis(), self.rank, self)
+
+def _polynomials(monomials: Sequence[Monomial], rows: RowBasis) -> list[Polynomial]:
+    """The reduced echelon rows of ``rows`` as polynomials over ``monomials``."""
+    return [
+        Polynomial(len(monomials[p]), {monomials[j]: Fraction(a, row[p]) for j, a in row.items()})
+        for p, row in rows.rref().items()
+    ]
 
 
 def _free_degree_split(ctx: PoissonContext, degree: int) -> tuple[Span, Span]:
@@ -130,10 +119,10 @@ def _free_degree_split(ctx: PoissonContext, degree: int) -> tuple[Span, Span]:
     return center, derived
 
 
-def invariants_basis(algebra: LieAlgebra, degree: int) -> GradedSubspace:
+def invariants_basis(algebra: LieAlgebra, degree: int) -> Span:
     """Homogeneous polynomials of the given degree killed by every generator:
     for a semisimple algebra, the degree slice of the Poisson center."""
-    return _free_degree_split(PoissonContext.free(algebra), degree)[0].graded(degree)
+    return _free_degree_split(PoissonContext.free(algebra), degree)[0]
 
 
 def _bracket_sources(ctx: PoissonContext, source_bound: int) -> Iterator[tuple[int, Polynomial]]:
@@ -156,7 +145,7 @@ def _bracket_sources(ctx: PoissonContext, source_bound: int) -> Iterator[tuple[i
                     yield d, br
 
 
-def derived_span(ctx: PoissonContext, degree: int, source_bound: int) -> GradedSubspace:
+def derived_span(ctx: PoissonContext, degree: int, source_bound: int) -> Span:
     """Span of the degree-``degree`` components of the brackets {x_i, m} with
     deg m <= ``source_bound``, which by {f, g} = sum_i {x_i, g * df/dx_i}
     (modulo the Poisson ideal on an orbit) is that of every monomial bracket
@@ -166,7 +155,7 @@ def derived_span(ctx: PoissonContext, degree: int, source_bound: int) -> GradedS
     span = Span(ctx.basis_monomials(degree))
     for _, br in _bracket_sources(ctx, source_bound):
         span.insert(br.graded_component(degree))
-    return span.graded(degree)
+    return span
 
 
 def derived_membership(ctx: PoissonContext, f: Polynomial, source_bound: int) -> Membership:
@@ -294,9 +283,7 @@ def verify_prop1(algebra: LieAlgebra, max_degree: int) -> VerificationReport:
             "verdict": "pass" if (sum_ok and direct_ok) else "fail",
         }
         if not (sum_ok and direct_ok) and overlap.rank:
-            first = overlap.reduced_rows()[0]
-            witness = Polynomial(algebra.dim, {m: c for m, c in zip(center.monomials, first) if c})
-            record["witness"] = ctx.format(witness)
+            record["witness"] = ctx.format(_polynomials(center.monomials, overlap)[0])
         report.records.append(record)
     return report
 
@@ -396,6 +383,7 @@ def verify_heisenberg(orbit: OrbitDescriptor, bound: int = 2) -> VerificationRep
 class ClosureResult:
     """Fixed point of the bounded Poisson-ideal closure moves.
 
+    ``span`` is the closed subspace over the monomials up to the bound.
     ``elements`` records a spanning set with provenance strings showing how
     each element was produced from the generators (multiplication by a
     generator or bracket with a generator), so every member of the span is
@@ -403,17 +391,13 @@ class ClosureResult:
     """
 
     degree_bound: int
-    monomials: tuple[Monomial, ...]
-    basis: tuple[tuple[Fraction, ...], ...]
-    rank: int
-    dimension: int
+    span: Span = field(repr=False, compare=False)
     contains_one: bool
     proper_at_bound: bool
     elements: list[tuple[str, Polynomial]]
-    _span: Span = field(repr=False, compare=False)
 
     def contains(self, p: Polynomial) -> bool:
-        return self._span.contains(p)
+        return self.span.contains(p)
 
     def is_graded(self) -> bool:
         """Whether the span is a direct sum of its degree components, that is,
@@ -466,17 +450,12 @@ def poisson_ideal_closure(
                 admit(f"{names[i]}*({provenance})", ctx.reduce(gen * e))
             admit(f"{{{names[i]}, {provenance}}}", ctx.bracket(gen, e))
 
-    dimension = len(span.monomials)
     return ClosureResult(
         degree_bound=degree_bound,
-        monomials=span.monomials,
-        basis=span.basis(),
-        rank=span.rank,
-        dimension=dimension,
+        span=span,
         contains_one=span.contains(Polynomial.constant(ctx.nvars, 1)),
-        proper_at_bound=span.rank < dimension,
+        proper_at_bound=span.rank < len(span.monomials),
         elements=elements,
-        _span=span,
     )
 
 
@@ -519,8 +498,8 @@ def simplicity_probe(
             "generator": orbit.format(reduced),
             "contains_one": closure.contains_one,
             "proper": closure.proper_at_bound,
-            "rank": closure.rank,
-            "dimension": closure.dimension,
+            "rank": closure.span.rank,
+            "dimension": len(closure.span.monomials),
         }
         if kind is OrbitType.SEMISIMPLE:
             record["verdict"] = "pass" if closure.contains_one else "fail"
@@ -566,12 +545,13 @@ def verify_homogeneous_ideals(orbit: OrbitDescriptor, k: int, degree_bound: int)
         },
     )
 
-    def monomials(d: int) -> list[Polynomial]:
-        return [Polynomial.monomial(ctx.nvars, m) for m in ctx.basis_monomials(d)]
-
+    monomials = {
+        d: [Polynomial.monomial(ctx.nvars, m) for m in ctx.basis_monomials(d)]
+        for d in range(1, degree_bound + 1)
+    }
     for a in range(1, degree_bound + 1):
         for b in range(a, degree_bound + 2 - a):
-            brackets = ((pa, pb, ctx.bracket(pa, pb)) for pa in monomials(a) for pb in monomials(b))
+            brackets = ((pa, pb, ctx.bracket(pa, pb)) for pa in monomials[a] for pb in monomials[b])
             bad = next(
                 (t for t in brackets if t[2] and (not t[2].is_homogeneous() or t[2].degree() != a + b - 1)),
                 None,
@@ -582,14 +562,10 @@ def verify_homogeneous_ideals(orbit: OrbitDescriptor, k: int, degree_bound: int)
                 record["witness"] = f"{{{fa}, {fb}}} = {fbr}"
             report.records.append(record)
 
-    gens = [
-        Polynomial.monomial(ctx.nvars, m)
-        for d in range(k, degree_bound + 1)
-        for m in ctx.basis_monomials(d)
-    ]
+    gens = [p for d in range(k, degree_bound + 1) for p in monomials[d]]
     initial_rank = len(gens)
     closure = poisson_ideal_closure(ctx, gens, degree_bound)
-    stable = closure.rank == initial_rank
+    stable = closure.span.rank == initial_rank
     graded = closure.is_graded()
     ok = stable and graded and not closure.contains_one and closure.proper_at_bound
     report.records.append(
@@ -597,9 +573,9 @@ def verify_homogeneous_ideals(orbit: OrbitDescriptor, k: int, degree_bound: int)
             "check": "ideal",
             "k": k,
             "dims": {
-                "ambient": closure.dimension,
+                "ambient": len(closure.span.monomials),
                 "initial": initial_rank,
-                "closed": closure.rank,
+                "closed": closure.span.rank,
             },
             "contains_one": closure.contains_one,
             "proper": closure.proper_at_bound,
@@ -670,31 +646,32 @@ def nonexactness_check(
 
 def _ideal_truncation(
     ctx: PoissonContext, generators: Sequence[Polynomial], degree_bound: int
-) -> tuple[Span, list[tuple[str, Polynomial]]]:
-    """Span of reduced generator multiples with product degree at the bound."""
+) -> tuple[Span, list[tuple[Monomial, Polynomial, Polynomial]]]:
+    """Span of reduced generator multiples with product degree at the bound,
+    with the accepted elements as (monomial, generator, reduced product)."""
     span = Span(ctx.basis_monomials_up_to(degree_bound))
-    elements: list[tuple[str, Polynomial]] = []
+    elements: list[tuple[Monomial, Polynomial, Polynomial]] = []
     for g in generators:
-        gdeg = g.degree()
-        for d in range(degree_bound - gdeg + 1):
+        for d in range(degree_bound - g.degree() + 1):
             for m in ctx.basis_monomials(d):
                 p = ctx.reduce(Polynomial.monomial(ctx.nvars, m) * g)
                 if span.insert(p):
-                    mono = ctx.format(Polynomial.monomial(ctx.nvars, m))
-                    elements.append((f"{mono}*({ctx.format(g)})", p))
+                    elements.append((m, g, p))
     return span, elements
 
 
 def _bracket_closed(
-    ctx: PoissonContext, span: Span, elements: Sequence[tuple[str, Polynomial]]
+    ctx: PoissonContext, span: Span, elements: Sequence[tuple[Monomial, Polynomial, Polynomial]]
 ) -> tuple[bool, str | None]:
-    """Whether brackets of the span with every generator stay in the span."""
+    """Whether brackets of the span with every generator stay in the span;
+    if not, the first failing bracket as text."""
     for i in range(ctx.nvars):
         gen = ctx.variable(i)
-        for provenance, e in elements:
+        for m, g, e in elements:
             br = ctx.bracket(gen, e)
             if br and not span.contains(br):
-                return False, f"{{{ctx.algebra.names[i]}, {provenance}}}"
+                mono = ctx.format(Polynomial.monomial(ctx.nvars, m))
+                return False, f"{{{ctx.algebra.names[i]}, {mono}*({ctx.format(g)})}}"
     return True, None
 
 

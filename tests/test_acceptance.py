@@ -124,9 +124,9 @@ def test_criterion_5_simplicity_dichotomy():
         cone = casimir_orbit(SL2R, 0)
         closure = poisson_ideal_closure(cone.context, [SL2R.variable(2)], 5)
         assert closure.proper_at_bound and not closure.contains_one
-        assert closure.rank == closure.dimension - 1
-        const_col = closure.monomials.index((0, 0, 0))
-        assert all(row[const_col] == 0 for row in closure.basis)
+        assert closure.span.rank == len(closure.span.monomials) - 1
+        assert (0, 0, 0) in closure.span.monomials
+        assert all((0, 0, 0) not in p.terms for p in closure.span.basis())
 
         for k in (1, 2):
             assert verify_homogeneous_ideals(cone, k, 5).verdict == "pass"

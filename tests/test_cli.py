@@ -2,16 +2,25 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
-from liepoisson.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, RunConfig, UsageError, main, run
+from liepoisson.cli import (
+    EXIT_FAIL,
+    EXIT_PASS,
+    EXIT_USAGE,
+    RunConfig,
+    UsageError,
+    build_parser,
+    config_from_args,
+    main,
+    run,
+)
 
 
 def run_args(args):
     """Parse argv the way main() does, then execute, returning (status, text)."""
-    from liepoisson.cli import build_parser, config_from_args
-
     config = config_from_args(build_parser().parse_args(args))
     return run(config)
 
@@ -170,13 +179,25 @@ PINNED_REPORTS = [
      "ab7a37bc45aad5ff57f7d18eb754a449158e2893e9e9bac51eb0629cc3c04aaf"),
     (["verify", "prop1", "--algebra", "heisenberg", "--n", "3", "--max-degree", "5"], EXIT_FAIL,
      "e66522318c22b1cf2b6048f6ede4c7e3bf8db8e734175eac53443ea360287948"),
+    (["verify", "lemma", "--algebra", "sl2r", "--gen=x+2*y-z", "--max-degree", "11"], EXIT_PASS,
+     "3a52f52a4656b8873ca821495ef7a43af0c39ad2eed98e48c436005bec3881de"),
+    (["probe", "simplicity", "--algebra", "sl2r", "--casimir", "1", "--gen=x+y-2*z", "--gen=-x+3*y+z",
+      "--max-degree", "7"], EXIT_PASS,
+     "7c5ac2286bbe42278ce86839fc6770f545db6a08274e302658fffed7cb05ad6c"),
+    (["verify", "nilpotent-ideals", "--algebra", "sl2r", "--max-degree", "9"], EXIT_PASS,
+     "3eb0177012fbf34b14074b59fdd828b0c883ffa094c444d470f22bd64ab91601"),
+    (["verify", "nilpotent-ideals", "--algebra", "sl2r", "--max-degree", "9", "--k", "2"], EXIT_PASS,
+     "3428a06be0c37f33ed141512fc58736e390883bf45c8b4e9a3670f359ab7cc43"),
+    (["verify", "prop1", "--algebra", "heisenberg", "--n", "2", "--max-degree", "5"], EXIT_FAIL,
+     "f224d0e6faea1c0f416079ce3ccc6aa04becc2d998a14a14800a225711d90a4a"),
 ]
 
 
 @pytest.mark.parametrize(
     "args,status,digest",
     PINNED_REPORTS,
-    ids=["nonexact-5", "nonexact-12", "prop1-sl2r-12", "prop1-heisenberg3-5"],
+    ids=["nonexact-5", "nonexact-12", "prop1-sl2r-12", "prop1-heisenberg3-5", "lemma-sl2r-11",
+         "simplicity-sl2r-7", "nilpotent-sl2r-9", "nilpotent-sl2r-9-k2", "prop1-heisenberg2-5"],
 )
 def test_pinned_json_report_digests(capsys, args, status, digest):
     assert main([*args, "--json"]) == status
@@ -231,6 +252,25 @@ def test_k_defaults_to_one_and_is_checked_on_nilpotent_ideals():
     status, text = run_args([*base, "--k", "0"])
     assert status == EXIT_USAGE
     assert "at least 1" in text
+
+
+@pytest.mark.parametrize(
+    "args,level",
+    [
+        (["verify", "heisenberg", "--n", "1"], "1"),
+        (["verify", "nilpotent-ideals", "--algebra", "sl2r", "--max-degree", "3"], "0"),
+        (["verify", "nonexact", "--algebra", "sl2r", "--max-degree", "2"], "1"),
+    ],
+    ids=["heisenberg", "nilpotent-ideals", "nonexact"],
+)
+def test_default_orbit_level_equals_explicit_casimir(args, level):
+    for extra in ([], ["--json"]):
+        config = config_from_args(build_parser().parse_args([*args, *extra]))
+        before = replace(config)
+        default = run(config)
+        assert config == before  # the default level is read, never written back
+        assert default == run_args([*args, *extra, "--casimir", level])
+        assert default[0] == EXIT_PASS
 
 
 def test_exit_status_matches_report_verdict():

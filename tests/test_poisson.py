@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from liepoisson.liealg import LieAlgebra, builtin, validate
-from liepoisson.orbit import casimir_orbit
+from liepoisson.orbit import casimir_orbit, make_orbit
 from liepoisson.poisson import BracketClosureError, PoissonContext, jacobi_defect, leibniz_defect
-from liepoisson.poly import Polynomial, parse_polynomial
+from liepoisson.poly import GradedLexOrder, Polynomial, monomials_of_degree, monomials_up_to, parse_polynomial
 
 from oracles import leibniz_bracket, random_polynomial
 
@@ -172,3 +172,28 @@ def test_bracket_variable_mismatch():
     H = builtin("heisenberg", 2)
     with pytest.raises(ValueError):
         FREE_SL2R.bracket(SL2R.variable(0), H.variable(0))
+
+
+def _heisenberg2_z_minus_1():
+    H2 = builtin("heisenberg", 2)
+    return make_orbit(H2, parse_polynomial("z - 1", H2.names)).context
+
+
+MONOMIAL_CONTEXTS = {
+    "free-sl2r": lambda: FREE_SL2R,
+    "sl2r-hyperboloid": lambda: casimir_orbit(SL2R, 1).context,
+    "sl2r-cone": lambda: casimir_orbit(SL2R, 0).context,
+    "heisenberg2-z-1": _heisenberg2_z_minus_1,
+    "so3-priority-102": lambda: PoissonContext.free(builtin("so3"), GradedLexOrder((1, 0, 2))),
+}
+
+
+@pytest.mark.parametrize("name", MONOMIAL_CONTEXTS)
+def test_monomials_up_to_concatenate_descending_degree_slices(name):
+    # the graded order puts higher degrees first, so the slices need no re-sort
+    ctx = MONOMIAL_CONTEXTS[name]()
+    for bound in range(8):
+        slices = [m for d in range(bound + 1) for m in ctx.basis_monomials(d)]
+        assert ctx.basis_monomials_up_to(bound) == tuple(ctx.order.sort(slices))
+        free = [m for d in range(bound + 1) for m in monomials_of_degree(ctx.nvars, d, ctx.order)]
+        assert monomials_up_to(ctx.nvars, bound, ctx.order) == ctx.order.sort(free)

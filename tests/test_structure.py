@@ -19,8 +19,10 @@ from liepoisson.structure import (
     Membership,
     Span,
     VerificationReport,
+    _bracket_closed,
     _bracket_sources,
     _free_degree_split,
+    _ideal_truncation,
     derived_membership,
     derived_span,
     ideal_square_check,
@@ -120,8 +122,7 @@ def test_derived_span_monotone_in_source_bound():
         sub = derived_span(ctx, 2, bound)
         if previous is not None:
             assert sub.rank >= previous.rank
-            for row in previous.basis:
-                p = Polynomial(3, {m: c for m, c in zip(previous.monomials, row) if c})
+            for p in previous.basis():
                 assert sub.contains(p)
         previous = sub
 
@@ -233,9 +234,24 @@ def test_free_degree_split_matches_derived_span_and_oracle(name):
     ctx = PoissonContext.free(algebra)
     for n in range(7):
         center, derived = _free_degree_split(ctx, n)
-        assert derived.basis() == derived_span(ctx, n, n + 1).basis
+        assert derived.basis() == derived_span(ctx, n, n + 1).basis()
         if len(center.monomials) <= 70:  # the dense oracle is slow beyond this
             assert center.rank == oracle_invariant_dimension(algebra, n)
+
+
+@pytest.mark.parametrize("name", SPAN_CONTEXTS)
+def test_span_basis_is_the_reduced_echelon_rows(name):
+    # the polynomial basis and the dense reduced rows are two renderings of
+    # the same back-substitution
+    ctx = SPAN_CONTEXTS[name]()
+    for degree in range(4):
+        span = derived_span(ctx, degree, degree + 1)
+        dense = [
+            Polynomial(ctx.nvars, {m: c for m, c in zip(span.monomials, row) if c})
+            for row in span.rows.reduced_rows()
+        ]
+        assert span.basis() == dense
+        assert len(dense) == span.rank
 
 
 PROP1_SL2R_DIMS = [
@@ -336,7 +352,7 @@ def test_closure_reaches_one_on_the_hyperboloid():
     assert not closure.proper_at_bound
     produced = {orbit.format(e) for _, e in closure.elements}
     assert "-y" in produced and "x" in produced  # picked up via brackets with z
-    assert len(closure.elements) == closure.rank
+    assert len(closure.elements) == closure.span.rank
 
 
 def test_closure_on_the_cone_is_the_positive_degree_subspace():
@@ -344,9 +360,9 @@ def test_closure_on_the_cone_is_the_positive_degree_subspace():
     closure = poisson_ideal_closure(orbit.context, [SL2R.variable(2)], 5)
     assert not closure.contains_one
     assert closure.proper_at_bound
-    assert closure.rank == closure.dimension - 1
-    const_col = closure.monomials.index((0, 0, 0))
-    assert all(row[const_col] == 0 for row in closure.basis)
+    assert closure.span.rank == len(closure.span.monomials) - 1
+    assert (0, 0, 0) in closure.span.monomials
+    assert all((0, 0, 0) not in p.terms for p in closure.span.basis())
     assert closure.is_graded()
 
 
@@ -354,7 +370,7 @@ def test_closure_of_shifted_casimir_is_its_multiples():
     q = sl2("x^2 + y^2 - z^2")
     closure = poisson_ideal_closure(FREE_SL2R, [q - 1], 4)
     # multiples m*(q-1) with deg m <= 2: exactly the 10 monomial multipliers
-    assert closure.rank == 10
+    assert closure.span.rank == 10
     assert closure.contains(q - 1)
     assert closure.contains((q - 1) * sl2("x"))
     assert not closure.contains_one
@@ -421,6 +437,12 @@ def test_result_contains_edge_cases(build):
     result = build()
     assert not result.contains(sl2("x + y^2 + z^3"))
     assert result.contains(Polynomial.zero(3))
+
+
+def test_bracket_closure_witness_names_the_failing_bracket():
+    # {y, x} = z leaves the span of x, the only multiple at bound 1
+    span, elements = _ideal_truncation(FREE_SL2R, [sl2("x")], 1)
+    assert _bracket_closed(FREE_SL2R, span, elements) == (False, "{y, 1*(x)}")
 
 
 def test_closure_input_validation():
