@@ -16,12 +16,14 @@ monomials x^a, x^b and each pair i < j with [xi_i, xi_j] = sum_k c_ij^k xi_k,
 
     {x^a, x^b} gets (a_i b_j - a_j b_i) c_ij^k  at  x^(a + b - e_i - e_j + e_k),
 
-with coefficients kept as integer numerators (the structure constants over
-one common denominator) until one conversion at the end.
+with coefficients kept as integer numerators: the structure constants
+over one common denominator, times the operands' numerators, over the
+product of the three denominators.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from operator import add
 from typing import TYPE_CHECKING
 
@@ -30,8 +32,6 @@ from .poly import (
     GradedLexOrder,
     Monomial,
     Polynomial,
-    _from_numerators,
-    _numerators,
     format_polynomial,
     monomials_of_degree,
 )
@@ -62,11 +62,12 @@ class PoissonContext:
         self.algebra = algebra
         self.ideal = ideal
         self.order = order
-        constants, self._den = _numerators({key: c for key, c in algebra.structure.items() if key[0] < key[1]})
+        constants = {key: c for key, c in algebra.structure.items() if key[0] < key[1]}
+        self._den = lcm(*(c.denominator for c in constants.values()))
         # derivation table: (i, j, [(k, c_ij^k * den), ...]) for each pair i < j with [xi_i, xi_j] != 0
         rows: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for (i, j, k), c in sorted(constants.items()):
-            rows.setdefault((i, j), []).append((k, c))
+            rows.setdefault((i, j), []).append((k, c.numerator * (self._den // c.denominator)))
         self._table = [(i, j, row) for (i, j), row in rows.items()]
         self._monomial_cache: dict[int, tuple[Monomial, ...]] = {}
 
@@ -115,12 +116,10 @@ class PoissonContext:
         """Lie-Poisson bracket, reduced to normal form in quotient mode."""
         if f.nvars != self.nvars or g.nvars != self.nvars:
             raise ValueError("polynomials do not match the context's variables")
-        nf, df = _numerators(f.terms)
-        ng, dg = _numerators(g.terms)
         acc: dict[Monomial, int] = {}
         get = acc.get
-        for ma, ca in nf.items():
-            for mb, cb in ng.items():
+        for ma, ca in f.num.items():
+            for mb, cb in g.num.items():
                 cab = ca * cb
                 s = list(map(add, ma, mb))
                 for i, j, row in self._table:
@@ -136,7 +135,7 @@ class PoissonContext:
                             acc[m] = get(m, 0) + w * c
                         s[i] += 1
                         s[j] += 1
-        return self.reduce(_from_numerators(self.nvars, acc, df * dg * self._den))
+        return self.reduce(Polynomial.from_numerators(self.nvars, acc, f.den * g.den * self._den))
 
     def basis_monomials(self, degree: int) -> tuple[Monomial, ...]:
         """Canonical monomials of the given degree, descending in the order.

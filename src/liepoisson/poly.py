@@ -1,15 +1,16 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial stores a dict mapping exponent tuples to nonzero ``Fraction``
-coefficients; the zero polynomial has an empty term map, so equality is
-structural.  The module also provides the graded lexicographic monomial
-order, single-divisor normal forms, an expression parser, and a matching
-pretty-printer.
+A polynomial maps exponent tuples to nonzero rational coefficients; the
+zero polynomial has no terms, and equality is structural.  The module
+also provides the graded lexicographic monomial order, single-divisor
+normal forms, an expression parser, and a matching pretty-printer.
 
-The product and the normal form work fraction-free: coefficients are
-scaled to integer numerators over their lcm denominator, the inner loops
-add and multiply Python ints, and each output term becomes one
-``Fraction`` at the end.
+A polynomial stores its coefficients as integer numerators over one
+positive denominator, with no common factor, so sums, products, graded
+components and normal forms add and multiply Python ints and divide out
+one gcd per result; ``Fraction`` values appear only where coefficients are
+read out (``terms``, ``sorted_terms``, ``leading_term``) or come in
+(the constructor and scalars).
 
 Normal forms modulo one divisor d = lc * x^lm + tail are linear, so a
 ``Reducer`` memoizes the normal form of every reducible monomial it meets.
@@ -80,9 +81,17 @@ class GradedLexOrder:
 
 
 class Polynomial:
-    """A sparse polynomial in ``nvars`` variables over the rationals."""
+    """A sparse polynomial in ``nvars`` variables over the rationals.
 
-    __slots__ = ("nvars", "terms")
+    The coefficients are integer numerators ``num`` (monomial to nonzero
+    int) over one denominator ``den``, kept canonical: ``den > 0`` and
+    ``gcd(den, *num.values()) == 1``, so the zero polynomial is ``{}`` over
+    1 and equality is structural.  ``terms`` renders the coefficients as
+    ``Fraction`` values in a new dict; changing that dict leaves the
+    polynomial unchanged.
+    """
+
+    __slots__ = ("nvars", "num", "den")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, Fraction | int] | None = None):
         self.nvars = nvars
@@ -96,7 +105,30 @@ class Polynomial:
                 c = Fraction(c)
                 if c:
                     clean[tuple(m)] = c
-        self.terms = clean
+        # each c is in lowest terms, so the numerators over the lcm share no factor with it
+        self.den = lcm(*(c.denominator for c in clean.values()))
+        self.num = {m: c.numerator * (self.den // c.denominator) for m, c in clean.items()}
+
+    @classmethod
+    def from_numerators(cls, nvars: int, num: Mapping[Monomial, int], den: int) -> "Polynomial":
+        """The polynomial with coefficients ``num[m] / den``, for integer
+        ``num`` values and a nonzero integer ``den``: zero numerators are
+        dropped, the common factor is divided out and ``den`` made positive."""
+        nonzero = {m: a for m, a in num.items() if a}
+        g = gcd(den, *nonzero.values())
+        if den < 0:
+            g = -g
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.num = {m: a // g for m, a in nonzero.items()} if g != 1 else nonzero
+        p.den = den // g
+        return p
+
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """The coefficients as ``Fraction`` values, in a new dict."""
+        den = self.den
+        return {m: Fraction(a, den) for m, a in self.num.items()}
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
@@ -119,14 +151,14 @@ class Polynomial:
         return cls(nvars, {m: Fraction(coeff)})
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, _SCALAR_TYPES):
             other = Polynomial.constant(self.nvars, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self.den == other.den and self.num == other.num
 
     __hash__ = None  # mutable term map; polynomials are not hashable
 
@@ -139,61 +171,60 @@ class Polynomial:
             return Polynomial.constant(self.nvars, other)
         return None
 
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """``self + sign * other`` over the lcm of the two denominators."""
+        da, db = self.den, other.den
+        den = lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        acc = {m: a * sa for m, a in self.num.items()}
+        get = acc.get
+        for m, b in other.num.items():
+            acc[m] = get(m, 0) + b * sb
+        return Polynomial.from_numerators(self.nvars, acc, den)
+
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        p = Polynomial.__new__(Polynomial)
-        p.nvars = self.nvars
-        p.terms = out
-        return p
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
         p = Polynomial.__new__(Polynomial)
         p.nvars = self.nvars
-        p.terms = {m: -c for m, c in self.terms.items()}
+        p.num = {m: -a for m, a in self.num.items()}
+        p.den = self.den
         return p
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._plus(self, -1)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, _SCALAR_TYPES):
             c = Fraction(other)
-            p = Polynomial.__new__(Polynomial)
-            p.nvars = self.nvars
-            p.terms = {m: a * c for m, a in self.terms.items()} if c else {}
-            return p
+            n = c.numerator
+            num = {m: a * n for m, a in self.num.items()}
+            return Polynomial.from_numerators(self.nvars, num, self.den * c.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        na, da = _numerators(self.terms)
-        nb, db = _numerators(other.terms)
         acc: dict[Monomial, int] = {}
         get = acc.get
-        for ma, ca in na.items():
-            for mb, cb in nb.items():
+        for ma, ca in self.num.items():
+            for mb, cb in other.num.items():
                 m = tuple(map(add, ma, mb))
                 acc[m] = get(m, 0) + ca * cb
-        return _from_numerators(self.nvars, acc, da * db)
+        return Polynomial.from_numerators(self.nvars, acc, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -212,55 +243,39 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(monomial_degree(m) for m in self.terms)
+        return max(monomial_degree(m) for m in self.num)
 
     def is_homogeneous(self) -> bool:
-        degs = {monomial_degree(m) for m in self.terms}
+        degs = {monomial_degree(m) for m in self.num}
         return len(degs) <= 1
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return Fraction(self.num.get((0,) * self.nvars, 0), self.den)
 
     def graded_component(self, n: int) -> "Polynomial":
         """Sum of the terms of total degree exactly ``n``."""
         if n < 0:
             raise ValueError("degree must be non-negative")
-        p = Polynomial.__new__(Polynomial)
-        p.nvars = self.nvars
-        p.terms = {m: c for m, c in self.terms.items() if monomial_degree(m) == n}
-        return p
+        part = {m: a for m, a in self.num.items() if monomial_degree(m) == n}
+        return Polynomial.from_numerators(self.nvars, part, self.den)
 
     def sorted_terms(self, order: GradedLexOrder | None = None) -> list[tuple[Monomial, Fraction]]:
         """Terms in descending monomial order (canonical enumeration)."""
         if order is None:
             order = GradedLexOrder.default(self.nvars)
-        return [(m, self.terms[m]) for m in order.sort(self.terms)]
+        return [(m, Fraction(self.num[m], self.den)) for m in order.sort(self.num)]
 
     def leading_term(self, order: GradedLexOrder) -> tuple[Monomial, Fraction]:
-        if not self.terms:
+        if not self.num:
             raise ValueError("the zero polynomial has no leading term")
-        m = max(self.terms, key=order.key)
-        return m, self.terms[m]
+        m = max(self.num, key=order.key)
+        return m, Fraction(self.num[m], self.den)
 
     def __repr__(self) -> str:
         names = tuple(f"x{i}" for i in range(self.nvars))
         return f"Polynomial({format_polynomial(self, names)!r})"
-
-
-def _numerators(terms: Mapping[Monomial, Fraction]) -> tuple[dict[Monomial, int], int]:
-    """Coefficients as integer numerators over their lcm denominator."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
-
-
-def _from_numerators(nvars: int, acc: Mapping[Monomial, int], den: int) -> Polynomial:
-    """The polynomial with coefficients ``acc[m] / den``, dropping zero numerators."""
-    p = Polynomial.__new__(Polynomial)
-    p.nvars = nvars
-    p.terms = {m: Fraction(a, den) for m, a in acc.items() if a}
-    return p
 
 
 def _combine(parts) -> tuple[dict[Monomial, int], int]:
@@ -287,10 +302,12 @@ class Reducer:
         if not divisor:
             raise ValueError("cannot reduce modulo the zero polynomial")
         self.nvars = divisor.nvars
-        lm, lc = divisor.leading_term(order)
+        lm = divisor.leading_term(order)[0]
         self._lm = lm
-        # x^lm = sum over the tail of -(c / lc) x^t, as numerators over self._den
-        self._tail, self._den = _numerators({t: -c / lc for t, c in divisor.terms.items() if t != lm})
+        # x^lm = sum over the tail of -(c_t / c_lm) x^t, as numerators over
+        # self._den = c_lm; a negative one is made positive in each result
+        self._tail = {t: -c for t, c in divisor.num.items() if t != lm}
+        self._den = divisor.num[lm]
         self._memo: dict[Monomial, tuple[dict[Monomial, int], int]] = {}
 
     def _quotient(self, m: Monomial) -> Monomial | None:
@@ -324,13 +341,13 @@ class Reducer:
         """The unique remainder of ``f``: no monomial is divisible by the leading one."""
         if f.nvars != self.nvars:
             raise ValueError("polynomials have different variable counts")
-        reducible = [m for m in f.terms if self._quotient(m) is not None]
+        reducible = [m for m in f.num if self._quotient(m) is not None]
         if not reducible:
             return f
-        num, den = _numerators(f.terms)
+        num = dict(f.num)
         parts = [(num.pop(m), self._monomial_nf(m)) for m in reducible]
         acc, scale = _combine(parts + [(1, (num, 1))])
-        return _from_numerators(f.nvars, acc, den * scale)
+        return Polynomial.from_numerators(f.nvars, acc, f.den * scale)
 
 
 def normal_form(f: Polynomial, divisor: Polynomial, order: GradedLexOrder) -> Polynomial:
@@ -507,7 +524,7 @@ def format_polynomial(p: Polynomial, names: Sequence[str], order: GradedLexOrder
     """
     if len(names) != p.nvars:
         raise ValueError(f"expected {p.nvars} names, got {len(names)}")
-    if not p.terms:
+    if not p:
         return "0"
     parts: list[str] = []
     for k, (m, c) in enumerate(p.sorted_terms(order)):

@@ -10,11 +10,11 @@ canonical reduced echelon basis back as polynomials.  A claim's subspace is
 returned as the ``Span`` that built it (``derived_span``,
 ``invariants_basis``) or inside a ``ClosureResult`` next to its verdicts.
 Coordinates stay sparse: a polynomial enters its span's ``RowBasis`` as
-(column, coefficient) pairs, and kernels and intersections are read off one
-elimination each.  Every bracket span is built from the brackets {x_i, m}
-with a linear first factor, since {f, g} = sum_i {x_i, g * df/dx_i}; on an
-orbit this holds modulo the relation's ideal, which is Poisson.  Reports
-serialize deterministically.
+(column, integer numerator) pairs, and kernels and intersections are read
+off one elimination each.  Every bracket span is built from the brackets
+{x_i, m} with a linear first factor, since {f, g} = sum_i
+{x_i, g * df/dx_i}; on an orbit this holds modulo the relation's ideal,
+which is Poisson.  Reports serialize deterministically.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from itertools import groupby
+from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -58,10 +58,11 @@ class Span:
         return self.rows.rank
 
     def vector(self, p: Polynomial) -> Pairs | None:
-        """(column, coefficient) pairs of ``p``; None if its support leaves the monomials."""
+        """(column, numerator) pairs of ``p``, that is, its coefficient vector
+        times ``p.den``; None if its support leaves the monomials."""
         index = self._index
         try:
-            return [(index[m], c) for m, c in p.terms.items()]
+            return [(index[m], a) for m, a in p.num.items()]
         except KeyError:
             return None
 
@@ -84,9 +85,10 @@ class Span:
 
 
 def _polynomials(monomials: Sequence[Monomial], rows: RowBasis) -> list[Polynomial]:
-    """The reduced echelon rows of ``rows`` as polynomials over ``monomials``."""
+    """The reduced echelon rows of ``rows`` as polynomials over ``monomials``:
+    each back-substituted row is the numerators over its pivot entry."""
     return [
-        Polynomial(len(monomials[p]), {monomials[j]: Fraction(a, row[p]) for j, a in row.items()})
+        Polynomial.from_numerators(len(monomials[p]), {monomials[j]: a for j, a in row.items()}, row[p])
         for p, row in rows.rref().items()
     ]
 
@@ -97,8 +99,10 @@ def _free_degree_split(ctx: PoissonContext, degree: int) -> tuple[Span, Span]:
     D sends a degree-``degree`` monomial m to ({x_1, m}, ..., {x_dim, m}),
     each bracket evaluated once.  The center ker D is read off one
     elimination of the rows [D(m_j) | e_j]: those pivoted in the identity
-    block are [0 | c], and their c span ker D.  The derived slice, the span
-    of the components {x_i, m}, is all of {P, P} in this degree.
+    block are [0 | c], and their c span ker D.  Each row is scaled by the lcm
+    of its brackets' denominators, so its entries are integers.  The derived
+    slice, the span of the components {x_i, m}, is all of {P, P} in this
+    degree.
     """
     center = Span(ctx.basis_monomials(degree))
     derived = Span(center.monomials)
@@ -107,12 +111,15 @@ def _free_degree_split(ctx: PoissonContext, degree: int) -> tuple[Span, Span]:
     operator = RowBasis((dim + 1) * size)
     for j, m in enumerate(center.monomials):
         pm = Polynomial.monomial(dim, m)
-        row = [(dim * size + j, 1)]
-        for i, gen in enumerate(gens):
-            vec = derived.vector(ctx.bracket(gen, pm))
+        brackets = [ctx.bracket(gen, pm) for gen in gens]
+        scale = lcm(*(br.den for br in brackets))
+        row = [(dim * size + j, scale)]
+        for i, br in enumerate(brackets):
+            vec = derived.vector(br)
             if vec:
                 derived.rows.insert(vec)
-                row += [(i * size + c, a) for c, a in vec]
+                s = scale // br.den
+                row += [(i * size + c, a * s) for c, a in vec]
         operator.insert(row)
     for row in operator.tail(dim * size):
         center.rows.insert(row)
@@ -405,7 +412,7 @@ class ClosureResult:
         return all(
             self.contains(e.graded_component(d))
             for _, e in self.elements
-            for d in {monomial_degree(m) for m in e.terms}
+            for d in {monomial_degree(m) for m in e.num}
         )
 
 
@@ -428,27 +435,27 @@ def poisson_ideal_closure(
         raise ValueError("closure requires at least one generator")
     span = Span(ctx.basis_monomials_up_to(degree_bound))
     elements: list[tuple[str, Polynomial]] = []
-
-    def admit(provenance: str, p: Polynomial) -> None:
-        if span.insert(p):
-            elements.append((provenance, p))
-
     for g in generators:
         g = ctx.reduce(g)
         if not g:
             raise ValueError("closure generators must be nonzero in the context")
         if g.degree() > degree_bound:
             raise ValueError("closure generator degree exceeds the bound")
-        admit(ctx.format(g), g)
+        if span.insert(g):
+            elements.append((ctx.format(g), g))
 
-    names = ctx.algebra.names
-    # admit() appends to elements, and the loop visits those appends too.
+    # Provenance is rendered only for accepted moves.  The loop also visits
+    # the elements appended during it.
     for provenance, e in elements:
-        for i in range(ctx.nvars):
+        for i, name in enumerate(ctx.algebra.names):
             gen = ctx.variable(i)
             if e.degree() + 1 <= degree_bound:
-                admit(f"{names[i]}*({provenance})", ctx.reduce(gen * e))
-            admit(f"{{{names[i]}, {provenance}}}", ctx.bracket(gen, e))
+                p = ctx.reduce(gen * e)
+                if span.insert(p):
+                    elements.append((f"{name}*({provenance})", p))
+            p = ctx.bracket(gen, e)
+            if span.insert(p):
+                elements.append((f"{{{name}, {provenance}}}", p))
 
     return ClosureResult(
         degree_bound=degree_bound,

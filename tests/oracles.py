@@ -4,13 +4,17 @@ Everything here deliberately avoids the package's elimination and bracket
 code paths: rank and kernels use plain rational Gauss-Jordan, the
 bracket oracle expands recursively through the product rule instead of the
 closed bidifferential formula, and normal forms come from the textbook
-division loop instead of the package's memoized reducer.
+division loop instead of the package's memoized reducer.  Polynomial
+arithmetic here runs on ``Fraction`` coefficient dicts (``terms_add``,
+``terms_scale``, ``terms_mul``), so a ``Polynomial`` is read only through
+its ``terms`` and built only through its constructor.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from liepoisson.liealg import LieAlgebra
 from liepoisson.poly import GradedLexOrder, Monomial, Polynomial, monomial_div, monomial_divides
@@ -82,8 +86,42 @@ def kernel_basis(a: list[list[Fraction]]) -> list[list[Fraction]]:
     return basis
 
 
+Terms = dict[Monomial, Fraction]
+
+
+def terms_add(a: Terms, b: Terms) -> Terms:
+    """Sum of two coefficient dicts, without zero coefficients."""
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def terms_scale(a: Terms, c: Fraction) -> Terms:
+    return {m: c * x for m, x in a.items()} if c else {}
+
+
+def terms_mul(a: Terms, b: Terms) -> Terms:
+    """Product of two coefficient dicts, term pair by term pair."""
+    out: Terms = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, Fraction(0)) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def assert_canonical(p: Polynomial) -> None:
+    """The stored form: nonzero int numerators over a positive int
+    denominator, with no common factor."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(a) is int and a for a in p.num.values())
+    assert gcd(p.den, *p.num.values()) == 1
+
+
 def leibniz_bracket(algebra: LieAlgebra, f: Polynomial, g: Polynomial) -> Polynomial:
-    """Free Lie-Poisson bracket by recursive product-rule expansion."""
+    """Free Lie-Poisson bracket by recursive product-rule expansion, on
+    ``Fraction`` coefficient dicts."""
     n = algebra.dim
 
     def var_mono(i: int) -> Monomial:
@@ -91,53 +129,53 @@ def leibniz_bracket(algebra: LieAlgebra, f: Polynomial, g: Polynomial) -> Polyno
         exps[i] = 1
         return tuple(exps)
 
-    memo: dict[tuple[Monomial, Monomial], Polynomial] = {}
+    memo: dict[tuple[Monomial, Monomial], Terms] = {}
 
-    def mono(ma: Monomial, mb: Monomial) -> Polynomial:
+    def mono(ma: Monomial, mb: Monomial) -> Terms:
         key = (ma, mb)
         if key in memo:
             return memo[key]
         da, db = sum(ma), sum(mb)
         if da == 0 or db == 0:
-            res = Polynomial.zero(n)
+            res = {}
         elif da == 1 and db == 1:
-            res = algebra.bracket_poly(ma.index(1), mb.index(1))
+            res = {var_mono(k): c for k, c in algebra.bracket_terms(ma.index(1), mb.index(1)).items()}
         elif da == 1:
-            res = -mono(mb, ma)
+            res = terms_scale(mono(mb, ma), Fraction(-1))
         else:
             i = next(k for k, e in enumerate(ma) if e)
             rest = list(ma)
             rest[i] -= 1
             rest_m = tuple(rest)
-            res = (
-                Polynomial.variable(n, i) * mono(rest_m, mb)
-                + Polynomial.monomial(n, rest_m) * mono(var_mono(i), mb)
+            res = terms_add(
+                terms_mul({var_mono(i): Fraction(1)}, mono(rest_m, mb)),
+                terms_mul({rest_m: Fraction(1)}, mono(var_mono(i), mb)),
             )
         memo[key] = res
         return res
 
-    out = Polynomial.zero(n)
+    out: Terms = {}
     for ma, ca in f.terms.items():
         for mb, cb in g.terms.items():
-            out = out + (ca * cb) * mono(ma, mb)
-    return out
+            out = terms_add(out, terms_scale(mono(ma, mb), ca * cb))
+    return Polynomial(n, out)
 
 
 def division_normal_form(f: Polynomial, divisor: Polynomial, order: GradedLexOrder) -> Polynomial:
-    """Remainder of ``f`` by repeatedly eliminating its largest reducible monomial."""
-    lm, lc = divisor.leading_term(order)
-    tail = divisor - Polynomial.monomial(divisor.nvars, lm, lc)
-    work = f
+    """Remainder of ``f`` by repeatedly eliminating its largest reducible
+    monomial, on ``Fraction`` coefficient dicts."""
+    tail = divisor.terms
+    lm = max(tail, key=order.key)
+    lc = tail.pop(lm)
+    work = f.terms
     while True:
-        reducible = [m for m in work.terms if monomial_divides(lm, m)]
+        reducible = [m for m in work if monomial_divides(lm, m)]
         if not reducible:
-            return work
+            return Polynomial(f.nvars, work)
         m = max(reducible, key=order.key)
-        c = work.terms[m]
-        u = monomial_div(m, lm)
+        c = work.pop(m)
         # m maps to -(c/lc) * x^u * tail, which is strictly smaller in the order
-        work = work - Polynomial.monomial(work.nvars, m, c) \
-                    - Polynomial.monomial(work.nvars, u, c / lc) * tail
+        work = terms_add(work, terms_mul({monomial_div(m, lm): -c / lc}, tail))
 
 
 # Divisors over (x, y, z) that the normal-form tests reduce modulo: the
@@ -167,11 +205,11 @@ def random_monomial(rng: random.Random, nvars: int, max_degree: int) -> Monomial
 
 
 def random_polynomial(rng: random.Random, nvars: int, max_degree: int, max_terms: int = 4) -> Polynomial:
-    p = Polynomial.zero(nvars)
+    terms: Terms = {}
     for _ in range(rng.randint(0, max_terms)):
         c = Fraction(rng.choice(COEFF_NUMERATORS), rng.choice(COEFF_DENOMINATORS))
-        p = p + Polynomial.monomial(nvars, random_monomial(rng, nvars, max_degree), c)
-    return p
+        terms = terms_add(terms, {random_monomial(rng, nvars, max_degree): c})
+    return Polynomial(nvars, terms)
 
 
 def nonzero_random_polynomial(rng: random.Random, nvars: int, max_degree: int, max_terms: int = 4) -> Polynomial:

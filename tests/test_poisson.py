@@ -10,7 +10,7 @@ from liepoisson.orbit import casimir_orbit, make_orbit
 from liepoisson.poisson import BracketClosureError, PoissonContext, jacobi_defect, leibniz_defect
 from liepoisson.poly import GradedLexOrder, Polynomial, monomials_of_degree, monomials_up_to, parse_polynomial
 
-from oracles import leibniz_bracket, random_polynomial
+from oracles import assert_canonical, division_normal_form, leibniz_bracket, random_polynomial
 
 SL2R = builtin("sl2r")
 FREE_SL2R = PoissonContext.free(SL2R)
@@ -126,13 +126,26 @@ def test_degree_bound_in_free_mode(contexts):
 
 
 def test_bracket_matches_leibniz_expansion_oracle(contexts):
+    # the quotients include a rational level and a relation whose leading
+    # coefficient is -1/9: the Casimir of SCALED_SL2R at level 1/2
+    scaled_relation = parse_polynomial("4*x^2 + 9/4*y^2 - 1/9*z^2 - 1/2", SCALED_SL2R.names)
+    quotients = [
+        casimir_orbit(SL2R, Fraction(1, 2)).context,
+        casimir_orbit(builtin("heisenberg", 1), 1).context,
+        make_orbit(SCALED_SL2R, scaled_relation).context,
+    ]
     rng = random.Random(41)
-    for ctx in contexts:
+    for ctx in contexts + quotients:
         n = ctx.nvars
         for _ in range(20):
             f = random_polynomial(rng, n, 3)
             g = random_polynomial(rng, n, 3)
-            assert ctx.bracket(f, g) == leibniz_bracket(ctx.algebra, f, g)
+            expected = leibniz_bracket(ctx.algebra, f, g)
+            if ctx.is_quotient:
+                expected = division_normal_form(expected, ctx.ideal.relation, ctx.order)
+            br = ctx.bracket(f, g)
+            assert_canonical(br)
+            assert br == expected
 
 
 @pytest.mark.parametrize("name,level", [("sl2r", 1), ("sl2r", 0), ("so3", 1), ("heisenberg", 1)])

@@ -18,7 +18,17 @@ from liepoisson.poly import (
     parse_polynomial,
 )
 
-from oracles import NORMAL_FORM_RELATIONS, division_normal_form, random_polynomial
+from oracles import (
+    NORMAL_FORM_RELATIONS,
+    Terms,
+    assert_canonical,
+    division_normal_form,
+    random_monomial,
+    random_polynomial,
+    terms_add,
+    terms_mul,
+    terms_scale,
+)
 
 XYZ = ("x", "y", "z")
 
@@ -96,7 +106,9 @@ def test_normal_form_matches_division_oracle(relation):
     order = GradedLexOrder.default(3)
     rng = random.Random(61)
     for f in [p("z^12")] + [random_polynomial(rng, 3, 8, max_terms=6) for _ in range(30)]:
-        assert normal_form(f, divisor, order) == division_normal_form(f, divisor, order)
+        nf = normal_form(f, divisor, order)
+        assert_canonical(nf)
+        assert nf == division_normal_form(f, divisor, order)
 
 
 def test_normal_form_result_avoids_leading_monomial():
@@ -104,6 +116,66 @@ def test_normal_form_result_avoids_leading_monomial():
     order = GradedLexOrder.default(3)
     nf = normal_form(p("z^4 + x*z^3 - 2*z^2 + y"), divisor, order)
     assert all(m[2] <= 1 for m in nf.terms)
+
+
+def rational_terms(rng: random.Random, max_degree: int = 3, max_terms: int = 5) -> Terms:
+    """Coefficients with mostly non-unit denominators, and a content that
+    sums and graded components can change."""
+    terms: Terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        c = Fraction(rng.choice([-9, -6, -4, -3, -1, 1, 2, 3, 6, 10]), rng.choice([1, 2, 3, 4, 6, 9, 14]))
+        terms = terms_add(terms, {random_monomial(rng, 3, max_degree): c})
+    return terms
+
+
+def test_arithmetic_matches_fraction_oracle_and_stays_canonical():
+    rng = random.Random(71)
+    order = GradedLexOrder.default(3)
+    divisors = [p(text) for text in NORMAL_FORM_RELATIONS]
+    for _ in range(150):
+        a = rational_terms(rng)
+        if rng.random() < 0.5:
+            # b shares a's monomials, so that a + b and a - b cancel
+            shared = terms_scale(a, Fraction(rng.choice([-2, -1, 1]), rng.choice([1, 3])))
+            b = terms_add(shared, rational_terms(rng, max_terms=1))
+        else:
+            b = rational_terms(rng)
+        c = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 7]))
+        f, g = Polynomial(3, a), Polynomial(3, b)
+        cases = [
+            (f, a),
+            (f + g, terms_add(a, b)),
+            (f - g, terms_add(a, terms_scale(b, Fraction(-1)))),
+            (-f, terms_scale(a, Fraction(-1))),
+            (f * g, terms_mul(a, b)),
+            (f * c, terms_scale(a, c)),
+            (c * f, terms_scale(a, c)),
+            (c - f, terms_add({(0, 0, 0): c}, terms_scale(a, Fraction(-1)))),
+        ]
+        if c:
+            cases.append((f / c, terms_scale(a, 1 / c)))
+        cases += [(f.graded_component(n), {m: x for m, x in a.items() if sum(m) == n}) for n in range(4)]
+        divisor = rng.choice(divisors)
+        cases.append((normal_form(f, divisor, order), division_normal_form(f, divisor, order).terms))
+        for result, expected in cases:
+            assert_canonical(result)
+            assert result.terms == expected
+            assert result == Polynomial(3, expected)
+
+
+def test_terms_renders_fractions_and_is_read_only():
+    f = p("3/2*x*y - 2/3*z + 4")
+    expected = {(1, 1, 0): Fraction(3, 2), (0, 0, 1): Fraction(-2, 3), (0, 0, 0): Fraction(4)}
+    assert f.terms == expected
+    assert all(type(c) is Fraction for c in f.terms.values())
+    assert (f.num, f.den) == ({(1, 1, 0): 9, (0, 0, 1): -4, (0, 0, 0): 24}, 6)
+    view = f.terms
+    view[(0, 0, 0)] = Fraction(99)
+    del view[(1, 1, 0)]
+    assert f.terms == expected
+    assert f == p("3/2*x*y - 2/3*z + 4")
+    with pytest.raises(AttributeError):
+        f.terms = {}
 
 
 def test_parse_hyperboloid_relation():

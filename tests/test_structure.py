@@ -425,6 +425,23 @@ def test_span_edge_cases(check):
     assert span.rank == 1
 
 
+def test_span_membership_is_the_same_for_a_rational_multiple():
+    # Span.vector passes p's integer numerators, which for c*p are another
+    # multiple of the same coefficient vector (2*x + 4*y: 2, 4 over 1; times
+    # 3/7: 6, 12 over 7)
+    c = Fraction(3, 7)
+    a, b = sl2("2*x + 4*y"), sl2("1/2*x^2 - 2/3*y*z + 5")
+    span, scaled = Span(FREE_SL2R.basis_monomials_up_to(2)), Span(FREE_SL2R.basis_monomials_up_to(2))
+    for q in (a, b):
+        span.insert(q)
+        scaled.insert(c * q)
+    assert scaled.basis() == span.basis()
+    candidates = [(a, True), (b, True), (a - Fraction(5, 3) * b, True), (sl2("x^2"), False), (a + sl2("z"), False)]
+    for q, member in candidates:
+        assert span.contains(q) is member
+        assert span.contains(c * q) is member
+
+
 @pytest.mark.parametrize(
     "build",
     [
