@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,27 +53,43 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
 class RunConfig:
     """One verification run; reports are a pure function of this value."""
 
-    command: str
-    claim: str | None = None
-    algebra: str | None = None
-    size: int | None = None
-    casimir: str | None = None
-    relation: str | None = None
-    max_degree: int | None = None
-    k: int | None = None
-    generators: list[str] = field(default_factory=list)
-    orbit_type: str | None = None
-    json_output: bool = False
-
-    def __post_init__(self):
-        if self.max_degree is not None and self.max_degree < 0:
+    def __init__(
+        self,
+        command: str,
+        claim: str | None = None,
+        algebra: str | None = None,
+        size: int | None = None,
+        casimir: str | None = None,
+        relation: str | None = None,
+        max_degree: int | None = None,
+        k: int | None = None,
+        generators: list[str] | None = None,
+        orbit_type: str | None = None,
+        json_output: bool = False,
+    ):
+        if max_degree is not None and max_degree < 0:
             raise UsageError("--max-degree must be non-negative")
-        if self.casimir is not None and self.relation is not None:
+        if casimir is not None and relation is not None:
             raise UsageError("give either --casimir or --relation, not both")
+        self.command = command
+        self.claim = claim
+        self.algebra = algebra
+        self.size = size
+        self.casimir = casimir
+        self.relation = relation
+        self.max_degree = max_degree
+        self.k = k
+        self.generators = [] if generators is None else generators
+        self.orbit_type = orbit_type
+        self.json_output = json_output
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not RunConfig:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def _resolve_algebra(config: RunConfig) -> LieAlgebra:
@@ -205,7 +220,7 @@ def _run_verify(config: RunConfig) -> VerificationReport:
     if claim == "heisenberg":
         if config.algebra not in (None, "heisenberg"):
             raise UsageError("verify heisenberg runs on the heisenberg algebra")
-        algebra = _resolve_algebra(replace(config, algebra="heisenberg"))
+        algebra = builtin("heisenberg", config.size if config.size is not None else 1)
         orbit = _resolve_orbit(config, algebra)
         return structure.verify_heisenberg(orbit, _degree(config))
     if claim == "nilpotent-ideals":

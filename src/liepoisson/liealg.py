@@ -9,7 +9,6 @@ Built-in algebras cover sl(2,R), so(3), and the Heisenberg family.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
@@ -26,7 +25,6 @@ class InvalidLieAlgebraError(ValueError):
     """An operation required a valid Lie algebra but validation failed."""
 
 
-@dataclass
 class LieAlgebra:
     """A finite-dimensional algebra given by basis names and bracket constants.
 
@@ -35,17 +33,19 @@ class LieAlgebra:
     ``validate`` can report antisymmetry violations of raw input.
     """
 
-    names: tuple[str, ...]
-    structure: dict[tuple[int, int, int], Fraction]
-    name: str | None = None
-
-    def __post_init__(self):
-        self.names = tuple(self.names)
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        structure: Mapping[tuple[int, int, int], Fraction | int],
+        name: str | None = None,
+    ):
+        self.names = tuple(names)
+        self.name = name
         if len(set(self.names)) != len(self.names):
             raise LieAlgebraFormatError("basis names must be distinct")
         d = len(self.names)
         clean: dict[tuple[int, int, int], Fraction] = {}
-        for (i, j, k), c in self.structure.items():
+        for (i, j, k), c in structure.items():
             if not all(0 <= t < d for t in (i, j, k)):
                 raise LieAlgebraFormatError(f"structure constant index {(i, j, k)} out of range")
             c = Fraction(c)
@@ -119,16 +119,20 @@ class LieAlgebra:
         return cls(tuple(names), structure, name=name)
 
 
-@dataclass
 class Violation:
-    kind: str
-    indices: tuple[int, ...]
-    detail: str
+    """One violated instance of an axiom: its kind, indices and a description."""
+
+    def __init__(self, kind: str, indices: tuple[int, ...], detail: str):
+        self.kind = kind
+        self.indices = indices
+        self.detail = detail
 
 
-@dataclass
 class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
+    """Every violation ``validate`` found; ``ok`` when there is none."""
+
+    def __init__(self, violations: list[Violation] | None = None):
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

@@ -13,7 +13,6 @@ then reused; the cache grows with the distinct monomials reduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -65,17 +64,24 @@ class OrbitIdeal:
     def reduce(self, p: Polynomial) -> Polynomial:
         return self._reducer.reduce(p)
 
+    def reduce_numerators(self, num: dict[Monomial, int], den: int) -> Polynomial:
+        """Normal form of the polynomial with coefficients ``num[m] / den``, as
+        ``Polynomial.from_numerators`` takes them, canonicalized once."""
+        return self._reducer.reduce_numerators(num, den)
+
     def __repr__(self) -> str:
         names = tuple(f"x{i}" for i in range(self.relation.nvars))
         return f"OrbitIdeal({format_polynomial(self.relation, names)!r})"
 
 
-@dataclass
 class OrbitDescriptor:
-    algebra: LieAlgebra
-    ideal: OrbitIdeal
-    orbit_type: OrbitType
-    context: PoissonContext
+    """An orbit: its algebra, its ideal, its type tag and its quotient context."""
+
+    def __init__(self, algebra: LieAlgebra, ideal: OrbitIdeal, orbit_type: OrbitType, context: PoissonContext):
+        self.algebra = algebra
+        self.ideal = ideal
+        self.orbit_type = orbit_type
+        self.context = context
 
     @property
     def relation(self) -> Polynomial:

@@ -135,7 +135,10 @@ class PoissonContext:
                             acc[m] = get(m, 0) + w * c
                         s[i] += 1
                         s[j] += 1
-        return self.reduce(Polynomial.from_numerators(self.nvars, acc, f.den * g.den * self._den))
+        den = f.den * g.den * self._den
+        if self.ideal is None:
+            return Polynomial.from_numerators(self.nvars, acc, den)
+        return self.ideal.reduce_numerators(acc, den)
 
     def basis_monomials(self, degree: int) -> tuple[Monomial, ...]:
         """Canonical monomials of the given degree, descending in the order.

@@ -304,16 +304,20 @@ class Reducer:
         self.nvars = divisor.nvars
         lm = divisor.leading_term(order)[0]
         self._lm = lm
+        # lm divides m exactly when m[i] >= e for these (i, e)
+        self._lm_support = [(i, e) for i, e in enumerate(lm) if e]
         # x^lm = sum over the tail of -(c_t / c_lm) x^t, as numerators over
         # self._den = c_lm; a negative one is made positive in each result
         self._tail = {t: -c for t, c in divisor.num.items() if t != lm}
         self._den = divisor.num[lm]
         self._memo: dict[Monomial, tuple[dict[Monomial, int], int]] = {}
 
-    def _quotient(self, m: Monomial) -> Monomial | None:
-        """``m - lm`` when the leading monomial divides ``m``, else None."""
-        u = tuple(map(sub, m, self._lm))
-        return u if min(u, default=0) >= 0 else None
+    def _divisible(self, m: Monomial) -> bool:
+        """Whether the leading monomial divides ``m``."""
+        for i, e in self._lm_support:
+            if m[i] < e:
+                return False
+        return True
 
     def _monomial_nf(self, m: Monomial) -> tuple[dict[Monomial, int], int]:
         memo = self._memo
@@ -323,9 +327,9 @@ class Reducer:
             if top in memo:
                 stack.pop()
                 continue
-            u = self._quotient(top)
+            u = tuple(map(sub, top, self._lm))
             children = [(tuple(map(add, u, t)), n) for t, n in self._tail.items()]
-            missing = [w for w, _ in children if w not in memo and self._quotient(w) is not None]
+            missing = [w for w, _ in children if w not in memo and self._divisible(w)]
             if missing:
                 stack.extend(missing)
                 continue
@@ -341,13 +345,24 @@ class Reducer:
         """The unique remainder of ``f``: no monomial is divisible by the leading one."""
         if f.nvars != self.nvars:
             raise ValueError("polynomials have different variable counts")
-        reducible = [m for m in f.num if self._quotient(m) is not None]
+        reducible = [m for m in f.num if self._divisible(m)]
         if not reducible:
             return f
-        num = dict(f.num)
+        return self._remainder(f.num, f.den, reducible)
+
+    def reduce_numerators(self, num: Mapping[Monomial, int], den: int) -> Polynomial:
+        """The remainder of the polynomial with coefficients ``num[m] / den``,
+        as ``Polynomial.from_numerators`` takes them (zero numerators allowed,
+        any common factor, ``den`` nonzero); the result is made canonical once."""
+        return self._remainder(num, den, [m for m, a in num.items() if a and self._divisible(m)])
+
+    def _remainder(self, num: Mapping[Monomial, int], den: int, reducible: list[Monomial]) -> Polynomial:
+        if not reducible:
+            return Polynomial.from_numerators(self.nvars, num, den)
+        num = dict(num)
         parts = [(num.pop(m), self._monomial_nf(m)) for m in reducible]
         acc, scale = _combine(parts + [(1, (num, 1))])
-        return Polynomial.from_numerators(f.nvars, acc, f.den * scale)
+        return Polynomial.from_numerators(self.nvars, acc, den * scale)
 
 
 def normal_form(f: Polynomial, divisor: Polynomial, order: GradedLexOrder) -> Polynomial:

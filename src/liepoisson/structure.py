@@ -20,7 +20,6 @@ which is Poisson.  Reports serialize deterministically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import groupby
 from math import lcm
@@ -193,14 +192,20 @@ def _entry_bound(span: Span, sources: Iterable[tuple[int, Polynomial]], target: 
     return None
 
 
-@dataclass
 class VerificationReport:
     """Per-degree records with an overall verdict; serializes to JSON."""
 
-    claim: str
-    params: dict
-    records: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        claim: str,
+        params: dict,
+        records: list[dict] | None = None,
+        notes: list[str] | None = None,
+    ):
+        self.claim = claim
+        self.params = params
+        self.records = [] if records is None else records
+        self.notes = [] if notes is None else notes
 
     @property
     def passed(self) -> bool:
@@ -386,7 +391,6 @@ def verify_heisenberg(orbit: OrbitDescriptor, bound: int = 2) -> VerificationRep
     return report
 
 
-@dataclass
 class ClosureResult:
     """Fixed point of the bounded Poisson-ideal closure moves.
 
@@ -397,11 +401,19 @@ class ClosureResult:
     a word in the closure moves by construction.
     """
 
-    degree_bound: int
-    span: Span = field(repr=False, compare=False)
-    contains_one: bool
-    proper_at_bound: bool
-    elements: list[tuple[str, Polynomial]]
+    def __init__(
+        self,
+        degree_bound: int,
+        span: Span,
+        contains_one: bool,
+        proper_at_bound: bool,
+        elements: list[tuple[str, Polynomial]],
+    ):
+        self.degree_bound = degree_bound
+        self.span = span
+        self.contains_one = contains_one
+        self.proper_at_bound = proper_at_bound
+        self.elements = elements
 
     def contains(self, p: Polynomial) -> bool:
         return self.span.contains(p)
@@ -445,11 +457,15 @@ def poisson_ideal_closure(
             elements.append((ctx.format(g), g))
 
     # Provenance is rendered only for accepted moves.  The loop also visits
-    # the elements appended during it.
+    # the elements appended during it, and stops once the span is everything,
+    # when no later move can be accepted.
+    variables = [(name, ctx.variable(i)) for i, name in enumerate(ctx.algebra.names)]
     for provenance, e in elements:
-        for i, name in enumerate(ctx.algebra.names):
-            gen = ctx.variable(i)
-            if e.degree() + 1 <= degree_bound:
+        if span.rank == len(span.monomials):
+            break
+        multiply = e.degree() + 1 <= degree_bound
+        for name, gen in variables:
+            if multiply:
                 p = ctx.reduce(gen * e)
                 if span.insert(p):
                     elements.append((f"{name}*({provenance})", p))

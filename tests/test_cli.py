@@ -1,11 +1,16 @@
 """Command-line interface: exit codes, report formats, and determinism."""
 
+import copy
 import hashlib
 import json
-from dataclasses import replace
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import liepoisson
 from liepoisson.cli import (
     EXIT_FAIL,
     EXIT_PASS,
@@ -144,9 +149,33 @@ def test_unknown_algebra_is_a_usage_error():
     assert status == EXIT_USAGE
 
 
-def test_conflicting_orbit_flags_rejected():
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"claim": "thm2", "algebra": "sl2r", "casimir": "1", "relation": "z"},
+        {"max_degree": -1},
+    ],
+    ids=["conflicting-orbit-flags", "negative-max-degree"],
+)
+def test_invalid_run_config_rejected(fields):
     with pytest.raises(UsageError):
-        RunConfig(command="verify", claim="thm2", algebra="sl2r", casimir="1", relation="z")
+        RunConfig(command="verify", **fields)
+
+
+@pytest.mark.parametrize("module", ["liepoisson", "liepoisson.cli"])
+def test_import_loads_neither_dataclasses_nor_inspect(module):
+    # A fresh interpreter without site (-S), so that only the package's own
+    # imports are seen; both modules weigh on every claim's start-up.
+    src = str(Path(liepoisson.__file__).resolve().parents[1])
+    code = f"import sys, {module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_json_reports_are_byte_identical_across_runs():
@@ -266,7 +295,7 @@ def test_k_defaults_to_one_and_is_checked_on_nilpotent_ideals():
 def test_default_orbit_level_equals_explicit_casimir(args, level):
     for extra in ([], ["--json"]):
         config = config_from_args(build_parser().parse_args([*args, *extra]))
-        before = replace(config)
+        before = copy.deepcopy(config)
         default = run(config)
         assert config == before  # the default level is read, never written back
         assert default == run_args([*args, *extra, "--casimir", level])
