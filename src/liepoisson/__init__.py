@@ -32,7 +32,6 @@ from .orbit import (
 )
 from .poisson import BracketClosureError, PoissonContext, jacobi_defect, leibniz_defect
 from .poly import (
-    GradedLexOrder,
     Polynomial,
     PolynomialSyntaxError,
     format_polynomial,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BracketClosureError",
     "ClosureResult",
-    "GradedLexOrder",
     "InvalidLieAlgebraError",
     "LieAlgebra",
     "LieAlgebraFormatError",

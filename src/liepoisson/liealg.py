@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .linalg import Matrix, rank
-from .poly import GradedLexOrder, Polynomial
+from .poly import Polynomial
 
 
 class LieAlgebraFormatError(ValueError):
@@ -69,21 +69,8 @@ class LieAlgebra:
                 out[k] = c
         return out
 
-    def bracket_poly(self, i: int, j: int) -> Polynomial:
-        """[xi_i, xi_j] as a linear polynomial."""
-        terms = {}
-        for k, c in self.bracket_terms(i, j).items():
-            exps = [0] * self.dim
-            exps[k] = 1
-            terms[tuple(exps)] = c
-        return Polynomial(self.dim, terms)
-
     def variable(self, i: int) -> Polynomial:
         return Polynomial.variable(self.dim, i)
-
-    def default_order(self) -> GradedLexOrder:
-        """Graded-lex order with the last-named basis variable most significant."""
-        return GradedLexOrder.default(self.dim)
 
     @classmethod
     def from_brackets(

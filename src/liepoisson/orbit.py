@@ -18,14 +18,7 @@ from fractions import Fraction
 
 from .liealg import LieAlgebra
 from .poisson import PoissonContext
-from .poly import (
-    GradedLexOrder,
-    Monomial,
-    Polynomial,
-    Reducer,
-    format_polynomial,
-    monomial_divides,
-)
+from .poly import Monomial, Polynomial, Reducer, format_polynomial
 
 
 class OrbitType(Enum):
@@ -44,22 +37,24 @@ class OrbitIdeal:
     is built from the ideal.
     """
 
-    def __init__(self, relation: Polynomial, order: GradedLexOrder):
+    def __init__(self, relation: Polynomial):
         if not relation:
             raise ValueError("orbit relation must be nonzero")
         if relation.degree() == 0:
             raise ValueError("orbit relation must be nonconstant")
         self.relation = relation
-        self.order = order
-        self.leading_monomial = relation.leading_term(order)[0]
-        self._reducer = Reducer(relation, order)
+        self._reducer = Reducer(relation)
+
+    @property
+    def leading_monomial(self) -> Monomial:
+        return self._reducer.leading_monomial
 
     @property
     def is_homogeneous(self) -> bool:
         return self.relation.is_homogeneous()
 
     def is_normal_monomial(self, m: Monomial) -> bool:
-        return not monomial_divides(self.leading_monomial, m)
+        return not self._reducer.divisible(m)
 
     def reduce(self, p: Polynomial) -> Polynomial:
         return self._reducer.reduce(p)
@@ -106,7 +101,6 @@ def _classify(algebra: LieAlgebra, relation: Polynomial) -> OrbitType:
 def make_orbit(
     algebra: LieAlgebra,
     relation: Polynomial,
-    order: GradedLexOrder | None = None,
     orbit_type: OrbitType | None = None,
 ) -> OrbitDescriptor:
     """Build an orbit descriptor with its quotient Poisson context.
@@ -117,7 +111,7 @@ def make_orbit(
     """
     if relation.nvars != algebra.dim:
         raise ValueError("relation does not match the algebra's variable count")
-    ideal = OrbitIdeal(relation, order or algebra.default_order())
+    ideal = OrbitIdeal(relation)
     context = PoissonContext.quotient(algebra, ideal)
     tag = orbit_type if orbit_type is not None else _classify(algebra, relation)
     return OrbitDescriptor(algebra, ideal, tag, context)

@@ -28,13 +28,7 @@ from operator import add
 from typing import TYPE_CHECKING
 
 from .liealg import LieAlgebra
-from .poly import (
-    GradedLexOrder,
-    Monomial,
-    Polynomial,
-    format_polynomial,
-    monomials_of_degree,
-)
+from .poly import Monomial, Polynomial, format_polynomial, monomials_of_degree
 
 if TYPE_CHECKING:  # pragma: no cover
     from .orbit import OrbitIdeal
@@ -58,10 +52,9 @@ class PoissonContext:
     context and its ideal only cache basis monomials and normal forms.
     """
 
-    def __init__(self, algebra: LieAlgebra, ideal: "OrbitIdeal | None", order: GradedLexOrder):
+    def __init__(self, algebra: LieAlgebra, ideal: "OrbitIdeal | None"):
         self.algebra = algebra
         self.ideal = ideal
-        self.order = order
         constants = {key: c for key, c in algebra.structure.items() if key[0] < key[1]}
         self._den = lcm(*(c.denominator for c in constants.values()))
         # derivation table: (i, j, [(k, c_ij^k * den), ...]) for each pair i < j with [xi_i, xi_j] != 0
@@ -72,15 +65,15 @@ class PoissonContext:
         self._monomial_cache: dict[int, tuple[Monomial, ...]] = {}
 
     @classmethod
-    def free(cls, algebra: LieAlgebra, order: GradedLexOrder | None = None) -> "PoissonContext":
-        return cls(algebra, None, order or algebra.default_order())
+    def free(cls, algebra: LieAlgebra) -> "PoissonContext":
+        return cls(algebra, None)
 
     @classmethod
     def quotient(cls, algebra: LieAlgebra, ideal: "OrbitIdeal") -> "PoissonContext":
         """Quotient context; fails loudly if the relation is not bracket-closed."""
         if ideal.relation.nvars != algebra.dim:
             raise ValueError("relation does not match the algebra's variable count")
-        ctx = cls(algebra, ideal, ideal.order)
+        ctx = cls(algebra, ideal)
         for i in range(algebra.dim):
             defect = ctx.bracket(ideal.relation, algebra.variable(i))
             if defect:
@@ -104,7 +97,7 @@ class PoissonContext:
         return parse_polynomial(text, self.algebra.names)
 
     def format(self, p: Polynomial) -> str:
-        return format_polynomial(p, self.algebra.names, self.order)
+        return format_polynomial(p, self.algebra.names)
 
     def reduce(self, p: Polynomial) -> Polynomial:
         """Normal form modulo the orbit ideal (identity in free mode)."""
@@ -149,7 +142,7 @@ class PoissonContext:
         """
         cached = self._monomial_cache.get(degree)
         if cached is None:
-            mons = monomials_of_degree(self.nvars, degree, self.order)
+            mons = monomials_of_degree(self.nvars, degree)
             if self.ideal is not None:
                 mons = [m for m in mons if self.ideal.is_normal_monomial(m)]
             cached = tuple(mons)

@@ -2,8 +2,14 @@
 
 A polynomial maps exponent tuples to nonzero rational coefficients; the
 zero polynomial has no terms, and equality is structural.  The module
-also provides the graded lexicographic monomial order, single-divisor
-normal forms, an expression parser, and a matching pretty-printer.
+also provides single-divisor normal forms, monomial enumeration, an
+expression parser, and a matching pretty-printer.
+
+Monomials are ordered by one fixed graded lexicographic order: total
+degree first, then exponents read from the last variable to the first, so
+the variable named last ranks highest.  The order only picks which
+monomials stand for a basis of a quotient: modulo one divisor the normal
+form is the unique remainder under any order, so no verdict depends on it.
 
 A polynomial stores its coefficients as integer numerators over one
 positive denominator, with no common factor, so sums, products, graded
@@ -28,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Monomial = tuple[int, ...]
 
@@ -39,45 +45,9 @@ def monomial_degree(m: Monomial) -> int:
     return sum(m)
 
 
-def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    """Whether ``x^a`` divides ``x^b``."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-class GradedLexOrder:
-    """Graded lexicographic order with a chosen variable priority.
-
-    Monomials compare first by total degree, then lexicographically reading
-    exponents of the priority variables from most to least significant.
-    The default priority makes the last variable the most significant, so
-    for an algebra on (x, y, z) the pure power z^k leads its degree.
-    """
-
-    def __init__(self, priority: Sequence[int]):
-        pr = tuple(priority)
-        if sorted(pr) != list(range(len(pr))):
-            raise ValueError("priority must be a permutation of the variable indices")
-        self.priority = pr
-
-    @classmethod
-    def default(cls, nvars: int) -> "GradedLexOrder":
-        return cls(tuple(range(nvars - 1, -1, -1)))
-
-    def key(self, m: Monomial):
-        return (sum(m), tuple(m[i] for i in self.priority))
-
-    def sort(self, monomials: Iterable[Monomial], reverse: bool = True) -> list[Monomial]:
-        return sorted(monomials, key=self.key, reverse=reverse)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GradedLexOrder) and self.priority == other.priority
-
-    def __repr__(self) -> str:
-        return f"GradedLexOrder(priority={self.priority})"
+def _graded_lex(m: Monomial) -> tuple[int, Monomial]:
+    """Sort key of the graded lexicographic order."""
+    return sum(m), m[::-1]
 
 
 class Polynomial:
@@ -261,16 +231,15 @@ class Polynomial:
         part = {m: a for m, a in self.num.items() if monomial_degree(m) == n}
         return Polynomial.from_numerators(self.nvars, part, self.den)
 
-    def sorted_terms(self, order: GradedLexOrder | None = None) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in descending monomial order (canonical enumeration)."""
-        if order is None:
-            order = GradedLexOrder.default(self.nvars)
-        return [(m, Fraction(self.num[m], self.den)) for m in order.sort(self.num)]
+        ordered = sorted(self.num, key=_graded_lex, reverse=True)
+        return [(m, Fraction(self.num[m], self.den)) for m in ordered]
 
-    def leading_term(self, order: GradedLexOrder) -> tuple[Monomial, Fraction]:
+    def leading_term(self) -> tuple[Monomial, Fraction]:
         if not self.num:
             raise ValueError("the zero polynomial has no leading term")
-        m = max(self.num, key=order.key)
+        m = max(self.num, key=_graded_lex)
         return m, Fraction(self.num[m], self.den)
 
     def __repr__(self) -> str:
@@ -298,12 +267,12 @@ class Reducer:
     results do not depend on which polynomials were reduced before.
     """
 
-    def __init__(self, divisor: Polynomial, order: GradedLexOrder):
+    def __init__(self, divisor: Polynomial):
         if not divisor:
             raise ValueError("cannot reduce modulo the zero polynomial")
         self.nvars = divisor.nvars
-        lm = divisor.leading_term(order)[0]
-        self._lm = lm
+        lm = divisor.leading_term()[0]
+        self.leading_monomial = lm
         # lm divides m exactly when m[i] >= e for these (i, e)
         self._lm_support = [(i, e) for i, e in enumerate(lm) if e]
         # x^lm = sum over the tail of -(c_t / c_lm) x^t, as numerators over
@@ -312,7 +281,7 @@ class Reducer:
         self._den = divisor.num[lm]
         self._memo: dict[Monomial, tuple[dict[Monomial, int], int]] = {}
 
-    def _divisible(self, m: Monomial) -> bool:
+    def divisible(self, m: Monomial) -> bool:
         """Whether the leading monomial divides ``m``."""
         for i, e in self._lm_support:
             if m[i] < e:
@@ -327,9 +296,9 @@ class Reducer:
             if top in memo:
                 stack.pop()
                 continue
-            u = tuple(map(sub, top, self._lm))
+            u = tuple(map(sub, top, self.leading_monomial))
             children = [(tuple(map(add, u, t)), n) for t, n in self._tail.items()]
-            missing = [w for w, _ in children if w not in memo and self._divisible(w)]
+            missing = [w for w, _ in children if w not in memo and self.divisible(w)]
             if missing:
                 stack.extend(missing)
                 continue
@@ -345,7 +314,7 @@ class Reducer:
         """The unique remainder of ``f``: no monomial is divisible by the leading one."""
         if f.nvars != self.nvars:
             raise ValueError("polynomials have different variable counts")
-        reducible = [m for m in f.num if self._divisible(m)]
+        reducible = [m for m in f.num if self.divisible(m)]
         if not reducible:
             return f
         return self._remainder(f.num, f.den, reducible)
@@ -354,7 +323,7 @@ class Reducer:
         """The remainder of the polynomial with coefficients ``num[m] / den``,
         as ``Polynomial.from_numerators`` takes them (zero numerators allowed,
         any common factor, ``den`` nonzero); the result is made canonical once."""
-        return self._remainder(num, den, [m for m, a in num.items() if a and self._divisible(m)])
+        return self._remainder(num, den, [m for m, a in num.items() if a and self.divisible(m)])
 
     def _remainder(self, num: Mapping[Monomial, int], den: int, reducible: list[Monomial]) -> Polynomial:
         if not reducible:
@@ -365,42 +334,36 @@ class Reducer:
         return Polynomial.from_numerators(self.nvars, acc, den * scale)
 
 
-def normal_form(f: Polynomial, divisor: Polynomial, order: GradedLexOrder) -> Polynomial:
+def normal_form(f: Polynomial, divisor: Polynomial) -> Polynomial:
     """Unique remainder of ``f`` under division by a single divisor.
 
     The result contains no monomial divisible by the leading monomial of
     the divisor; for a single divisor it is the canonical representative
     of ``f`` modulo the generated ideal.
     """
-    return Reducer(divisor, order).reduce(f)
+    return Reducer(divisor).reduce(f)
 
 
-def monomials_of_degree(nvars: int, degree: int, order: GradedLexOrder | None = None) -> list[Monomial]:
-    """All exponent tuples of total degree ``degree``, descending in the order."""
+def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
+    """All exponent tuples of total degree ``degree``, descending in the order:
+    the last exponent runs down from ``degree``, and the others recurse."""
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    if order is None:
-        order = GradedLexOrder.default(nvars)
-
-    out: list[Monomial] = []
-
-    def rec(prefix: list[int], remaining: int, slot: int) -> None:
-        if slot == nvars - 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slot + 1)
-
     if nvars == 0:
         return [()] if degree == 0 else []
-    rec([], degree, 0)
-    return order.sort(out)
+    if nvars == 1:
+        return [(degree,)]
+    return [
+        rest + (e,)
+        for e in range(degree, -1, -1)
+        for rest in monomials_of_degree(nvars - 1, degree - e)
+    ]
 
 
-def monomials_up_to(nvars: int, degree: int, order: GradedLexOrder | None = None) -> list[Monomial]:
+def monomials_up_to(nvars: int, degree: int) -> list[Monomial]:
     """All exponent tuples of total degree at most ``degree``, descending:
     the graded order puts higher degrees first."""
-    return [m for d in range(degree, -1, -1) for m in monomials_of_degree(nvars, d, order)]
+    return [m for d in range(degree, -1, -1) for m in monomials_of_degree(nvars, d)]
 
 
 class PolynomialSyntaxError(ValueError):
@@ -532,7 +495,7 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
     return _Parser(text, names).parse()
 
 
-def format_polynomial(p: Polynomial, names: Sequence[str], order: GradedLexOrder | None = None) -> str:
+def format_polynomial(p: Polynomial, names: Sequence[str]) -> str:
     """Render a polynomial with terms in descending graded-lex order.
 
     Re-parsing the output over the same names recovers the polynomial.
@@ -542,7 +505,7 @@ def format_polynomial(p: Polynomial, names: Sequence[str], order: GradedLexOrder
     if not p:
         return "0"
     parts: list[str] = []
-    for k, (m, c) in enumerate(p.sorted_terms(order)):
+    for k, (m, c) in enumerate(p.sorted_terms()):
         factors = [
             name if e == 1 else f"{name}^{e}"
             for name, e in zip(names, m)

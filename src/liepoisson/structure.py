@@ -654,7 +654,7 @@ def nonexactness_check(
             }
         )
     # The homogeneous system always has the zero solution, so this control
-    # cannot fail; ROADMAP item 4 replaces it with one that can.
+    # cannot fail; ROADMAP item 2 replaces it with one that can.
     report.records.append(
         {
             "check": "target_zero_control",

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from liepoisson.liealg import LieAlgebra
-from liepoisson.poly import GradedLexOrder, Monomial, Polynomial, monomial_div, monomial_divides
+from liepoisson.poly import Monomial, Polynomial
 
 
 def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -161,21 +161,38 @@ def leibniz_bracket(algebra: LieAlgebra, f: Polynomial, g: Polynomial) -> Polyno
     return Polynomial(n, out)
 
 
-def division_normal_form(f: Polynomial, divisor: Polynomial, order: GradedLexOrder) -> Polynomial:
+def graded_lex_key(m: Monomial) -> tuple:
+    """Graded lexicographic sort key: total degree, then the exponents from
+    the last variable to the first."""
+    return (sum(m), tuple(reversed(m)))
+
+
+def divides(a: Monomial, b: Monomial) -> bool:
+    """Whether ``x^a`` divides ``x^b``."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def exponent_difference(a: Monomial, b: Monomial) -> Monomial:
+    """The exponents of ``x^a / x^b``, for ``x^b`` dividing ``x^a``."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def division_normal_form(f: Polynomial, divisor: Polynomial) -> Polynomial:
     """Remainder of ``f`` by repeatedly eliminating its largest reducible
-    monomial, on ``Fraction`` coefficient dicts."""
+    monomial in the graded lexicographic order, on ``Fraction`` coefficient
+    dicts."""
     tail = divisor.terms
-    lm = max(tail, key=order.key)
+    lm = max(tail, key=graded_lex_key)
     lc = tail.pop(lm)
     work = f.terms
     while True:
-        reducible = [m for m in work if monomial_divides(lm, m)]
+        reducible = [m for m in work if divides(lm, m)]
         if not reducible:
             return Polynomial(f.nvars, work)
-        m = max(reducible, key=order.key)
+        m = max(reducible, key=graded_lex_key)
         c = work.pop(m)
         # m maps to -(c/lc) * x^u * tail, which is strictly smaller in the order
-        work = terms_add(work, terms_mul({monomial_div(m, lm): -c / lc}, tail))
+        work = terms_add(work, terms_mul({exponent_difference(m, lm): -c / lc}, tail))
 
 
 # Divisors over (x, y, z) that the normal-form tests reduce modulo: the

@@ -15,7 +15,7 @@ from liepoisson.orbit import (
     quotient_dimension,
 )
 from liepoisson.poisson import BracketClosureError
-from liepoisson.poly import GradedLexOrder, Polynomial, parse_polynomial
+from liepoisson.poly import Polynomial, parse_polynomial
 
 from oracles import NORMAL_FORM_RELATIONS, division_normal_form, random_polynomial
 
@@ -105,22 +105,20 @@ def test_reused_orbit_ideal_matches_division_oracle(relation):
     # one ideal serves every call, in shuffled order, so normal forms cached
     # by earlier calls are what later calls reuse; the homogeneous slices
     # repeat monomials of the whole polynomials
-    order = GradedLexOrder.default(3)
-    ideal = OrbitIdeal(sl2(relation), order)
+    ideal = OrbitIdeal(sl2(relation))
     rng = random.Random(67)
     polys = [sl2("z^12")] + [random_polynomial(rng, 3, 8, max_terms=6) for _ in range(40)]
     polys += [f.graded_component(n) for f in polys[:10] for n in range(9)]
     rng.shuffle(polys)
     for f in polys:
-        assert ideal.reduce(f) == division_normal_form(f, ideal.relation, order)
+        assert ideal.reduce(f) == division_normal_form(f, ideal.relation)
 
 
 def test_orbit_ideal_rejects_degenerate_relations():
-    order = GradedLexOrder.default(3)
     with pytest.raises(ValueError):
-        OrbitIdeal(Polynomial.zero(3), order)
+        OrbitIdeal(Polynomial.zero(3))
     with pytest.raises(ValueError):
-        OrbitIdeal(Polynomial.constant(3, 2), order)
+        OrbitIdeal(Polynomial.constant(3, 2))
 
 
 def test_make_orbit_rejects_unclosed_relation():

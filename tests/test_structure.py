@@ -132,7 +132,7 @@ def test_pair_span_equals_linear_span_degreewise(m, n):
     # brackets of degree-m with degree-n elements span no more than brackets
     # of generators with degree-(m+n-1) elements, and the splitting forces equality
     degree = m + n - 1
-    mons = monomials_of_degree(3, degree, FREE_SL2R.order)
+    mons = monomials_of_degree(3, degree)
     index = {mm: i for i, mm in enumerate(mons)}
 
     def vec(p):
@@ -177,7 +177,7 @@ def test_pair_span_equals_bracket_sources_per_bound(name):
     top, n = 5, ctx.nvars
 
     def reduced(p):
-        return division_normal_form(p, ctx.ideal.relation, ctx.order) if ctx.is_quotient else p
+        return division_normal_form(p, ctx.ideal.relation) if ctx.is_quotient else p
 
     mons = [m for d in range(top + 1) for m in monomials_of_degree(n, d)]
     index = {m: i for i, m in enumerate(mons)}
@@ -544,7 +544,7 @@ def oracle_nonexact_system(orbit, degree):
     ctx = orbit.context
 
     def nf(p):
-        return division_normal_form(p, orbit.relation, ctx.order)
+        return division_normal_form(p, orbit.relation)
 
     def normal(k):
         return [m for m in monomials_up_to(3, k) if nf(Polynomial.monomial(3, m)) == Polynomial.monomial(3, m)]
