@@ -19,7 +19,7 @@ from .liealg import (
     load_algebra,
     validate,
 )
-from .linalg import RowBasis, in_span, nullspace, rank, solve_linear
+from .linalg import RowBasis
 from .orbit import (
     OrbitDescriptor,
     OrbitIdeal,
@@ -27,7 +27,6 @@ from .orbit import (
     builtin_casimir,
     casimir_orbit,
     make_orbit,
-    project,
     quotient_dimension,
 )
 from .poisson import BracketClosureError, PoissonContext, jacobi_defect, leibniz_defect
@@ -82,7 +81,6 @@ __all__ = [
     "derived_span",
     "format_polynomial",
     "ideal_square_check",
-    "in_span",
     "invariants_basis",
     "is_semisimple",
     "jacobi_defect",
@@ -95,14 +93,10 @@ __all__ = [
     "monomials_up_to",
     "nonexactness_check",
     "normal_form",
-    "nullspace",
     "parse_polynomial",
     "poisson_ideal_closure",
-    "project",
     "quotient_dimension",
-    "rank",
     "simplicity_probe",
-    "solve_linear",
     "validate",
     "verify_heisenberg",
     "verify_homogeneous_ideals",

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
-from .linalg import Matrix, rank
+from .linalg import Matrix, RowBasis
 from .poly import Polynomial
 
 
@@ -60,15 +60,6 @@ class LieAlgebra:
     def c(self, i: int, j: int, k: int) -> Fraction:
         return self.structure.get((i, j, k), Fraction(0))
 
-    def bracket_terms(self, i: int, j: int) -> dict[int, Fraction]:
-        """Nonzero coefficients of [xi_i, xi_j] on the basis."""
-        out: dict[int, Fraction] = {}
-        for k in range(self.dim):
-            c = self.c(i, j, k)
-            if c:
-                out[k] = c
-        return out
-
     def variable(self, i: int) -> Polynomial:
         return Polynomial.variable(self.dim, i)
 
@@ -90,8 +81,6 @@ class LieAlgebra:
             terms = {k: Fraction(c) for k, c in terms.items() if Fraction(c)}
             if i == j and terms:
                 raise LieAlgebraFormatError(f"nonzero bracket of basis element {i} with itself")
-            if (i, j) in seen:
-                raise LieAlgebraFormatError(f"bracket ({i}, {j}) defined twice")
             if (j, i) in seen:
                 mirrored = {k: -c for k, c in seen[(j, i)].items()}
                 if mirrored != terms:
@@ -195,7 +184,10 @@ def is_semisimple(algebra: LieAlgebra) -> bool:
     if not report.ok:
         first = report.violations[0]
         raise InvalidLieAlgebraError(f"not a Lie algebra: {first.kind} violation {first.detail}")
-    return rank(killing_form(algebra)) == algebra.dim
+    killing = RowBasis(algebra.dim)
+    for row in killing_form(algebra):
+        killing.insert([(j, a) for j, a in enumerate(row) if a])
+    return killing.rank == algebra.dim
 
 
 def builtin(name: str, n: int | None = None) -> LieAlgebra:
@@ -233,6 +225,19 @@ def builtin(name: str, n: int | None = None) -> LieAlgebra:
     raise LieAlgebraFormatError(f"unknown built-in algebra '{name}'")
 
 
+def _index_of(index: dict[str, int], obj: object, what: str, key: str) -> int:
+    """Basis index of the name ``obj[key]``, where ``obj`` is a ``what`` read
+    from an algebra definition."""
+    if not isinstance(obj, dict):
+        raise LieAlgebraFormatError(f"each {what} must be an object, not {obj!r}")
+    name = obj.get(key)
+    if not isinstance(name, str):
+        raise LieAlgebraFormatError(f"{what} key '{key}' must be a basis name, not {name!r}")
+    if name not in index:
+        raise LieAlgebraFormatError(f"{what} references unknown name {name!r}")
+    return index[name]
+
+
 def lie_algebra_from_dict(data: dict) -> LieAlgebra:
     """Build an algebra from the JSON definition format.
 
@@ -259,20 +264,20 @@ def lie_algebra_from_dict(data: dict) -> LieAlgebra:
     index = {b: i for i, b in enumerate(basis)}
     if len(index) != len(basis):
         raise LieAlgebraFormatError("basis names must be distinct")
+    entries = data.get("brackets", [])
+    if not isinstance(entries, list):
+        raise LieAlgebraFormatError("'brackets' must be a list")
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for entry in data.get("brackets", []):
-        try:
-            i = index[entry["i"]]
-            j = index[entry["j"]]
-        except KeyError as exc:
-            raise LieAlgebraFormatError(f"bracket references unknown name {exc}") from None
+    for entry in entries:
+        i, j = _index_of(index, entry, "bracket", "i"), _index_of(index, entry, "bracket", "j")
+        items = entry.get("terms", [])
+        if not isinstance(items, list):
+            raise LieAlgebraFormatError("a bracket's 'terms' must be a list")
         terms: dict[int, Fraction] = {}
-        for t in entry.get("terms", []):
+        for t in items:
+            k = _index_of(index, t, "bracket term", "k")
             try:
-                k = index[t["k"]]
-                coeff = Fraction(str(t["coeff"]))
-            except KeyError as exc:
-                raise LieAlgebraFormatError(f"bracket term references unknown name {exc}") from None
+                coeff = Fraction(str(t.get("coeff")))
             except (ValueError, ZeroDivisionError) as exc:
                 raise LieAlgebraFormatError(f"bad coefficient {t.get('coeff')!r}: {exc}") from None
             terms[k] = terms.get(k, Fraction(0)) + coeff

@@ -8,10 +8,11 @@ using the cross-multiplication ``b*row - a*stored`` followed by division by
 the gcd of the entries, so only nonzero entries are ever touched and no
 rational arithmetic happens until results are read out.  Pivots are always
 the leading column, so the reduced echelon form, its pivot set, the solution
-with free variables zero and the kernel basis are canonical.  The dense API
-(vectors are lists of ``Fraction``, matrices lists of rows) sits on the same
-engine and scales its rows with the same helper; sums and intersections of
-row spaces are one Zassenhaus elimination.
+with free variables zero and the kernel basis are canonical.  Sums and
+intersections of row spaces are one Zassenhaus elimination.  The dense
+functions below ``RowBasis`` (vectors are lists of ``Fraction``, matrices
+lists of rows) are called by no claim; they remain because the benchmark's
+layer hooks wrap them by name.
 """
 
 from __future__ import annotations
@@ -170,19 +171,6 @@ def _basis_of(rows: Iterable[Sequence[Fraction]], width: int) -> RowBasis:
     for row in rows:
         rb._add(_scaled([(j, a) for j, a in enumerate(row) if a]))
     return rb
-
-
-def rank(m: Matrix) -> int:
-    """Exact rank of a rational matrix."""
-    return _basis_of(m, _check_rectangular(m)).rank
-
-
-def in_span(v: Sequence[Fraction], basis: Matrix) -> bool:
-    """Whether ``v`` is a rational linear combination of the basis rows."""
-    cols = _check_rectangular(basis)
-    if basis and len(v) != cols:
-        raise ValueError(f"vector length {len(v)} does not match basis width {cols}")
-    return _basis_of(basis, len(v)).contains([(j, a) for j, a in enumerate(v) if a])
 
 
 def solve_linear(a: Matrix, b: Sequence[Fraction]) -> Vector | None:

@@ -6,9 +6,9 @@ The quotient context provides the projection onto the orbit's polynomial
 algebra via normal forms, and the descriptor tags the orbit type used by
 the structure checks.
 
-An ``OrbitIdeal`` keeps one ``poly.Reducer`` for its lifetime, so the
-normal form of each reducible monomial is computed once per ideal and
-then reused; the cache grows with the distinct monomials reduced.
+An ``OrbitIdeal`` is the ``poly.Reducer`` of its relation, so the normal
+form of each reducible monomial is computed once per ideal and then
+reused; the cache grows with the distinct monomials reduced.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .liealg import LieAlgebra
 from .poisson import PoissonContext
-from .poly import Monomial, Polynomial, Reducer, format_polynomial
+from .poly import Polynomial, Reducer, format_polynomial
 
 
 class OrbitType(Enum):
@@ -27,14 +27,12 @@ class OrbitType(Enum):
     OTHER = "other"
 
 
-class OrbitIdeal:
+class OrbitIdeal(Reducer):
     """Principal ideal generated by a single nonconstant relation.
 
-    Caches the leading data of the relation and the normal forms of the
-    monomials it has reduced, so repeated reductions are cheap.  The
-    bracket-closure invariant (the relation's bracket with
-    every generator reduces to zero) is enforced when a quotient context
-    is built from the ideal.
+    Reduction is inherited from ``Reducer``.  The bracket-closure
+    invariant (the relation's bracket with every generator reduces to zero)
+    is enforced when a quotient context is built from the ideal.
     """
 
     def __init__(self, relation: Polynomial):
@@ -42,27 +40,12 @@ class OrbitIdeal:
             raise ValueError("orbit relation must be nonzero")
         if relation.degree() == 0:
             raise ValueError("orbit relation must be nonconstant")
+        super().__init__(relation)
         self.relation = relation
-        self._reducer = Reducer(relation)
-
-    @property
-    def leading_monomial(self) -> Monomial:
-        return self._reducer.leading_monomial
 
     @property
     def is_homogeneous(self) -> bool:
         return self.relation.is_homogeneous()
-
-    def is_normal_monomial(self, m: Monomial) -> bool:
-        return not self._reducer.divisible(m)
-
-    def reduce(self, p: Polynomial) -> Polynomial:
-        return self._reducer.reduce(p)
-
-    def reduce_numerators(self, num: dict[Monomial, int], den: int) -> Polynomial:
-        """Normal form of the polynomial with coefficients ``num[m] / den``, as
-        ``Polynomial.from_numerators`` takes them, canonicalized once."""
-        return self._reducer.reduce_numerators(num, den)
 
     def __repr__(self) -> str:
         names = tuple(f"x{i}" for i in range(self.relation.nvars))
@@ -139,17 +122,6 @@ def casimir_orbit(
     """Orbit cut out by (built-in Casimir) = level."""
     relation = builtin_casimir(algebra) - Polynomial.constant(algebra.dim, level)
     return make_orbit(algebra, relation, orbit_type=orbit_type)
-
-
-def project(orbit: OrbitDescriptor, f: Polynomial) -> Polynomial:
-    """Projection onto the orbit's polynomial algebra (normal form).
-
-    Linear, idempotent, and an algebra map: the projection of a product
-    equals the reduced product of the projections.
-    """
-    if f.nvars != orbit.algebra.dim:
-        raise ValueError("polynomial does not match the orbit's variables")
-    return orbit.ideal.reduce(f)
 
 
 def quotient_dimension(orbit: OrbitDescriptor, n: int) -> int:

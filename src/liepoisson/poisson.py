@@ -144,7 +144,7 @@ class PoissonContext:
         if cached is None:
             mons = monomials_of_degree(self.nvars, degree)
             if self.ideal is not None:
-                mons = [m for m in mons if self.ideal.is_normal_monomial(m)]
+                mons = [m for m in mons if not self.ideal.divisible(m)]
             cached = tuple(mons)
             self._monomial_cache[degree] = cached
         return cached

@@ -180,11 +180,13 @@ def derived_membership(ctx: PoissonContext, f: Polynomial, source_bound: int) ->
 def _entry_bound(span: Span, sources: Iterable[tuple[int, Polynomial]], target: Polynomial) -> int | None:
     """Least source bound whose brackets put ``target`` in ``span``: 0 if it
     is already a member, None if it never enters.  The ``(bound, bracket)``
-    sources go in by nondecreasing bound, and ``target`` is tested per bound.
+    sources must come in nondecreasing bound, as ``_bracket_sources`` yields
+    them; they are consumed one bound at a time and ``target`` is tested after
+    each, so no bracket past the entry bound is evaluated.
     """
     if span.contains(target):
         return 0
-    for bound, group in groupby(sorted(sources, key=itemgetter(0)), key=itemgetter(0)):
+    for bound, group in groupby(sources, key=itemgetter(0)):
         for _, br in group:
             span.insert(br)
         if span.contains(target):
@@ -300,11 +302,11 @@ def verify_prop1(algebra: LieAlgebra, max_degree: int) -> VerificationReport:
     return report
 
 
-def verify_thm2(
-    orbit: OrbitDescriptor,
-    max_bound: int,
-    monomial_degree_cap: int = 3,
-) -> VerificationReport:
+# Highest degree whose normal-form monomials verify_thm2 checks one by one.
+MONOMIAL_DEGREE_CAP = 3
+
+
+def verify_thm2(orbit: OrbitDescriptor, max_bound: int) -> VerificationReport:
     """Two-sided splitting evidence on an orbit's polynomial algebra.
 
     Negative side: the constant 1 stays outside the span of whole reduced
@@ -312,12 +314,12 @@ def verify_thm2(
     each normal-form monomial of low degree lies in the span of the
     degree-matched components of brackets at the top bound, so together
     with constants the bracket span reaches everything checked.  Monomials
-    are checked up to degree ``min(monomial_degree_cap, max_bound)``, since
+    are checked up to degree ``min(MONOMIAL_DEGREE_CAP, max_bound)``, since
     brackets at a lower bound cannot reach higher degrees; the effective cap
     is recorded in the report.
     """
     ctx = orbit.context
-    monomial_degree_cap = min(monomial_degree_cap, max_bound)
+    monomial_degree_cap = min(MONOMIAL_DEGREE_CAP, max_bound)
     report = VerificationReport(
         "thm2",
         {

@@ -50,6 +50,11 @@ def rref_rank(matrix: list[list[Fraction]]) -> int:
     return len(rref(matrix)[1])
 
 
+def basis_bracket(algebra: LieAlgebra, i: int, j: int) -> dict[int, Fraction]:
+    """Nonzero coefficients of [xi_i, xi_j], read from ``algebra.structure``."""
+    return {k: c for (a, b, k), c in algebra.structure.items() if (a, b) == (i, j)}
+
+
 def mat_vec(a: list[list[Fraction]], x: list[Fraction]) -> list[Fraction]:
     return [sum((row[j] * x[j] for j in range(len(x))), Fraction(0)) for row in a]
 
@@ -139,7 +144,7 @@ def leibniz_bracket(algebra: LieAlgebra, f: Polynomial, g: Polynomial) -> Polyno
         if da == 0 or db == 0:
             res = {}
         elif da == 1 and db == 1:
-            res = {var_mono(k): c for k, c in algebra.bracket_terms(ma.index(1), mb.index(1)).items()}
+            res = {var_mono(k): c for k, c in basis_bracket(algebra, ma.index(1), mb.index(1)).items()}
         elif da == 1:
             res = terms_scale(mono(mb, ma), Fraction(-1))
         else:

@@ -78,7 +78,7 @@ def test_criterion_2_hyperboloid_two_sided_splitting():
                 assert span.contains(Polynomial.monomial(3, m))
                 checked += 1
         assert checked == 3 + 5 + 7
-        report = verify_thm2(orbit, 5, monomial_degree_cap=3)
+        report = verify_thm2(orbit, 5)
         assert report.verdict == "pass"
         ok = True
     finally:

@@ -122,6 +122,24 @@ def test_unparseable_algebra_file_is_a_usage_error(tmp_path):
     assert "line" in text and "column" in text
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        '{"dim":1,"basis":["x"],"brackets":[1]}',
+        '{"dim":2,"basis":["x","y"],"brackets":{"i":"x"}}',
+        '{"dim":1,"basis":["x"],"brackets":[{"i":"x","j":"x","terms":[5]}]}',
+        '{"dim":2,"basis":["x","y"],"brackets":[{"i":["x"],"j":"y"}]}',
+        '{"dim":2,"basis":["x","y"],"brackets":[{"i":"x","j":"y","terms":5}]}',
+    ],
+    ids=["entry-not-object", "brackets-not-list", "term-not-object", "name-not-string", "terms-not-list"],
+)
+def test_malformed_algebra_file_is_a_usage_error(body, tmp_path, capsys):
+    path = tmp_path / "malformed.json"
+    path.write_text(body)
+    assert main(["validate", "--algebra", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_unclosed_relation_is_a_usage_error():
     status, text = run_args(
         ["verify", "thm2", "--algebra", "sl2r", "--relation", "z - 1", "--max-degree", "2"]

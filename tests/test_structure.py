@@ -309,7 +309,7 @@ def test_pure_squares_split_off_a_constant():
 
 
 def test_verify_thm2_two_sided():
-    report = verify_thm2(casimir_orbit(SL2R, 1), 4, monomial_degree_cap=2)
+    report = verify_thm2(casimir_orbit(SL2R, 1), 4)
     assert report.verdict == "pass"
     kinds = {r["check"] for r in report.records}
     assert kinds == {"constants", "monomial"}
