@@ -1,9 +1,13 @@
 """Command-line front end for the verification suite.
 
-Each subcommand is a thin shell around one structure-module operation;
-given the same configuration the emitted report is byte-identical across
-runs.  Exit status: 0 when the claim passes, 1 when a claim check fails,
-2 on usage or input errors.
+Each command is a thin shell around one structure-module operation, and
+``COMMANDS`` is the one table of them: where each hangs (``validate``,
+``verify <claim>``, ``probe simplicity``), the function that runs it, the
+flags it reads beyond ``--algebra``, ``--n`` and ``--json``, and its
+defaults.  A command's parser holds only its own flags, so argparse rejects
+any other.  Given the same arguments the emitted report is byte-identical
+across runs.  Exit status: 0 when the claim passes, 1 when a claim check
+fails, 2 on usage or input errors.
 """
 
 from __future__ import annotations
@@ -14,147 +18,63 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import structure
-from .liealg import (
-    InvalidLieAlgebraError,
-    LieAlgebra,
-    LieAlgebraFormatError,
-    builtin,
-    is_semisimple,
-    killing_form,
-    load_algebra,
-    validate,
-)
+from .liealg import LieAlgebra, builtin, is_semisimple, killing_form, load_algebra, validate
 from .orbit import OrbitDescriptor, OrbitType, casimir_orbit, make_orbit
-from .poisson import BracketClosureError, PoissonContext
-from .poly import PolynomialSyntaxError, parse_polynomial
+from .poisson import PoissonContext
+from .poly import parse_polynomial
 from .structure import VerificationReport
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-VERIFY_CLAIMS = ("prop1", "thm2", "heisenberg", "nilpotent-ideals", "nonexact", "lemma")
-
-DEFAULT_DEGREES = {
-    "prop1": 4,
-    "thm2": 5,
-    "heisenberg": 2,
-    "nilpotent-ideals": 4,
-    "nonexact": 4,
-    "lemma": 4,
-    "simplicity": 4,
-}
-
-# Casimir level of the orbit a claim runs on when neither --casimir nor --relation is given.
-DEFAULT_LEVELS = {"heisenberg": "1", "nilpotent-ideals": "0", "nonexact": "1"}
-
 
 class UsageError(ValueError):
     pass
 
 
-class RunConfig:
-    """One verification run; reports are a pure function of this value."""
-
-    def __init__(
-        self,
-        command: str,
-        claim: str | None = None,
-        algebra: str | None = None,
-        size: int | None = None,
-        casimir: str | None = None,
-        relation: str | None = None,
-        max_degree: int | None = None,
-        k: int | None = None,
-        generators: list[str] | None = None,
-        orbit_type: str | None = None,
-        json_output: bool = False,
-    ):
-        if max_degree is not None and max_degree < 0:
-            raise UsageError("--max-degree must be non-negative")
-        if casimir is not None and relation is not None:
-            raise UsageError("give either --casimir or --relation, not both")
-        self.command = command
-        self.claim = claim
-        self.algebra = algebra
-        self.size = size
-        self.casimir = casimir
-        self.relation = relation
-        self.max_degree = max_degree
-        self.k = k
-        self.generators = [] if generators is None else generators
-        self.orbit_type = orbit_type
-        self.json_output = json_output
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not RunConfig:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-
-def _resolve_algebra(config: RunConfig) -> LieAlgebra:
-    if config.algebra is None:
-        raise UsageError("an algebra is required (--algebra <name|path>)")
-    if config.size is not None and config.algebra != "heisenberg":
+def _resolve_algebra(args: argparse.Namespace) -> LieAlgebra:
+    if args.size is not None and args.algebra != "heisenberg":
         raise UsageError("--n applies only to --algebra heisenberg")
-    if config.algebra in ("sl2r", "so3"):
-        return builtin(config.algebra)
-    if config.algebra == "heisenberg":
-        return builtin("heisenberg", config.size if config.size is not None else 1)
-    path = Path(config.algebra)
+    if args.algebra in ("sl2r", "so3"):
+        return builtin(args.algebra)
+    if args.algebra == "heisenberg":
+        return builtin("heisenberg", args.size if args.size is not None else 1)
+    path = Path(args.algebra)
     if not path.exists():
         raise UsageError(
-            f"'{config.algebra}' is not a built-in algebra (sl2r, so3, heisenberg) or a readable file"
+            f"'{args.algebra}' is not a built-in algebra (sl2r, so3, heisenberg) or a readable file"
         )
     return load_algebra(path)
 
 
-def _resolve_orbit(config: RunConfig, algebra: LieAlgebra) -> OrbitDescriptor:
-    override = OrbitType(config.orbit_type) if config.orbit_type else None
-    if config.relation is not None:
-        relation = parse_polynomial(config.relation, algebra.names)
+def _resolve_orbit(args: argparse.Namespace, algebra: LieAlgebra) -> OrbitDescriptor:
+    # Only the commands that read --orbit-type have it in their namespace.
+    override = getattr(args, "orbit_type", None)
+    override = OrbitType(override) if override else None
+    if args.relation is not None:
+        relation = parse_polynomial(args.relation, algebra.names)
         return make_orbit(algebra, relation, orbit_type=override)
-    casimir = config.casimir if config.casimir is not None else DEFAULT_LEVELS.get(config.claim)
-    if casimir is not None:
+    if args.casimir is not None:
         try:
-            level = Fraction(casimir)
+            level = Fraction(args.casimir)
         except (ValueError, ZeroDivisionError):
-            raise UsageError(f"--casimir expects a rational like 1 or -3/2, got '{casimir}'")
+            raise UsageError(f"--casimir expects a rational like 1 or -3/2, got '{args.casimir}'")
         return casimir_orbit(algebra, level, orbit_type=override)
     raise UsageError("an orbit is required (--casimir <p/q> or --relation \"<expr>\")")
 
 
-def _reject_ignored_flags(config: RunConfig) -> None:
-    """Raise on a flag the chosen command would otherwise silently ignore."""
-    name = config.claim or config.command
-    if name in ("validate", "prop1"):
-        for flag, value in (("--casimir", config.casimir), ("--relation", config.relation)):
-            if value is not None:
-                raise UsageError(f"{flag} does not apply to {name}: it has no orbit")
-    if config.orbit_type is not None and name not in ("thm2", "simplicity"):
-        raise UsageError(f"--orbit-type does not apply to {name}")
-    if config.generators and name not in ("lemma", "simplicity"):
-        raise UsageError(f"--gen does not apply to {name}")
-    if config.k is not None and name != "nilpotent-ideals":
-        raise UsageError(f"--k does not apply to {name}")
-
-
-def _degree(config: RunConfig) -> int:
-    if config.max_degree is not None:
-        return config.max_degree
-    return DEFAULT_DEGREES[config.claim or config.command]
-
-
-def _parse_generators(config: RunConfig, algebra: LieAlgebra):
-    if not config.generators:
+def _parse_generators(args: argparse.Namespace, algebra: LieAlgebra):
+    if not args.generators:
         raise UsageError("at least one --gen \"<expr>\" is required")
-    return [parse_polynomial(text, algebra.names) for text in config.generators]
+    return [parse_polynomial(text, algebra.names) for text in args.generators]
 
 
-def _validate_report(algebra: LieAlgebra, config: RunConfig) -> VerificationReport:
+def _validate(args: argparse.Namespace) -> VerificationReport:
+    algebra = _resolve_algebra(args)
     report = VerificationReport(
         "validate",
-        {"algebra": config.algebra, "dim": algebra.dim, "basis": list(algebra.names)},
+        {"algebra": args.algebra, "dim": algebra.dim, "basis": list(algebra.names)},
     )
     result = validate(algebra)
     for v in result.violations:
@@ -166,150 +86,148 @@ def _validate_report(algebra: LieAlgebra, config: RunConfig) -> VerificationRepo
          "verdict": "pass" if result.ok else "fail"}
     )
     if result.ok:
-        killing = killing_form(algebra)
+        matrix = [[str(a) for a in row] for row in killing_form(algebra)]
         report.records.append(
-            {
-                "check": "killing_form",
-                "semisimple": is_semisimple(algebra),
-                "matrix": [[str(a) for a in row] for row in killing],
-                "verdict": "pass",
-            }
+            {"check": "killing_form", "semisimple": is_semisimple(algebra), "matrix": matrix, "verdict": "pass"}
         )
     return report
 
 
-def run(config: RunConfig) -> tuple[int, str]:
-    """Execute a run configuration; returns (exit status, report text)."""
+def _orbit(args: argparse.Namespace) -> OrbitDescriptor:
+    return _resolve_orbit(args, _resolve_algebra(args))
+
+
+def _lemma(args: argparse.Namespace) -> VerificationReport:
+    algebra = _resolve_algebra(args)
+    gens = _parse_generators(args, algebra)
+    if args.casimir is not None or args.relation is not None:
+        ctx = _resolve_orbit(args, algebra).context
+    else:
+        ctx = PoissonContext.free(algebra)
+    return structure.ideal_square_check(ctx, gens, args.max_degree)
+
+
+def _simplicity(args: argparse.Namespace) -> VerificationReport:
+    algebra = _resolve_algebra(args)
+    orbit = _resolve_orbit(args, algebra)
+    return structure.simplicity_probe(orbit, _parse_generators(args, algebra), args.max_degree)
+
+
+def _non_negative(text: str) -> int:
     try:
-        _reject_ignored_flags(config)
-        if config.command == "validate":
-            algebra = _resolve_algebra(config)
-            report = _validate_report(algebra, config)
-        elif config.command == "verify":
-            report = _run_verify(config)
-        elif config.command == "probe":
-            algebra = _resolve_algebra(config)
-            orbit = _resolve_orbit(config, algebra)
-            trials = _parse_generators(config, algebra)
-            report = structure.simplicity_probe(orbit, trials, _degree(config))
-        else:
-            raise UsageError(f"unknown command '{config.command}'")
-    except (
-        UsageError,
-        PolynomialSyntaxError,
-        LieAlgebraFormatError,
-        InvalidLieAlgebraError,
-        BracketClosureError,
-        ValueError,
-        OSError,
-    ) as exc:
-        return EXIT_USAGE, f"error: {exc}\n"
-    output = report.to_json() if config.json_output else report.render_text()
-    return (EXIT_PASS if report.passed else EXIT_FAIL), output
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expects a non-negative integer, got '{text}'")
+    return value
 
 
-def _run_verify(config: RunConfig) -> VerificationReport:
-    claim = config.claim
-    if claim == "prop1":
-        algebra = _resolve_algebra(config)
-        return structure.verify_prop1(algebra, _degree(config))
-    if claim == "thm2":
-        algebra = _resolve_algebra(config)
-        orbit = _resolve_orbit(config, algebra)
-        return structure.verify_thm2(orbit, _degree(config))
-    if claim == "heisenberg":
-        if config.algebra not in (None, "heisenberg"):
-            raise UsageError("verify heisenberg runs on the heisenberg algebra")
-        algebra = builtin("heisenberg", config.size if config.size is not None else 1)
-        orbit = _resolve_orbit(config, algebra)
-        return structure.verify_heisenberg(orbit, _degree(config))
-    if claim == "nilpotent-ideals":
-        orbit = _resolve_orbit(config, _resolve_algebra(config))
-        return structure.verify_homogeneous_ideals(orbit, 1 if config.k is None else config.k, _degree(config))
-    if claim == "nonexact":
-        orbit = _resolve_orbit(config, _resolve_algebra(config))
-        return structure.nonexactness_check(orbit, _degree(config))
-    if claim == "lemma":
-        algebra = _resolve_algebra(config)
-        gens = _parse_generators(config, algebra)
-        if config.casimir is not None or config.relation is not None:
-            ctx = _resolve_orbit(config, algebra).context
-        else:
-            ctx = PoissonContext.free(algebra)
-        return structure.ideal_square_check(ctx, gens, _degree(config))
-    raise UsageError(f"unknown verify claim '{claim}'")
+FLAGS = {
+    "--casimir": {"help": "orbit level c: relation = (built-in Casimir) - c"},
+    "--relation": {"help": "orbit relation as a polynomial expression"},
+    "--max-degree": {"type": _non_negative, "help": "degree or source bound for the checks"},
+    "--gen": {"action": "append", "dest": "generators", "metavar": "EXPR",
+              "help": "generator polynomial (repeatable)"},
+    "--k": {"type": int, "default": 1, "help": "lowest degree of the homogeneous ideal (default 1)"},
+    "--orbit-type": {"choices": [t.value for t in OrbitType], "help": "override the orbit classification"},
+}
+ORBIT = ("--casimir", "--relation")  # mutually exclusive
+
+# name: (parent, help, run, flags read beyond --algebra/--n/--json, defaults).
+# "verify" and "probe" group the commands under them and run nothing.
+# Defaults: max_degree; casimir, the orbit level when neither --casimir nor
+# --relation is given; algebra, the only algebra the command accepts.
+COMMANDS = {
+    "validate": (None, "check the bracket axioms and the Killing form", _validate, (), {}),
+    "verify": (None, "run a structure verification", None, (), {}),
+    "prop1": ("verify", "center/bracket-span splitting of the free algebra",
+              lambda a: structure.verify_prop1(_resolve_algebra(a), a.max_degree),
+              ("--max-degree",), {"max_degree": 4}),
+    "thm2": ("verify", "constants split off on an orbit",
+             lambda a: structure.verify_thm2(_orbit(a), a.max_degree),
+             (*ORBIT, "--max-degree", "--orbit-type"), {"max_degree": 5}),
+    "heisenberg": ("verify", "constants are bracket-reachable on the symplectic orbit",
+                   lambda a: structure.verify_heisenberg(_orbit(a), a.max_degree),
+                   (*ORBIT, "--max-degree"), {"max_degree": 2, "casimir": "1", "algebra": "heisenberg"}),
+    "nilpotent-ideals": ("verify", "graded proper Poisson ideals on a cone",
+                         lambda a: structure.verify_homogeneous_ideals(_orbit(a), a.k, a.max_degree),
+                         (*ORBIT, "--max-degree", "--k"), {"max_degree": 4, "casimir": "0"}),
+    "nonexact": ("verify", "bounded infeasibility of 1 = {x,f}+{y,g}+{z,h}",
+                 lambda a: structure.nonexactness_check(_orbit(a), a.max_degree),
+                 (*ORBIT, "--max-degree"), {"max_degree": 4, "casimir": "1"}),
+    "lemma": ("verify", "strictness of the ideal square", _lemma,
+              (*ORBIT, "--max-degree", "--gen"), {"max_degree": 4}),
+    "probe": (None, "run an exploratory probe", None, (), {}),
+    "simplicity": ("probe", "closures of trial generators on an orbit", _simplicity,
+                   (*ORBIT, "--max-degree", "--gen", "--orbit-type"), {"max_degree": 4}),
+}
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--algebra", help="built-in algebra name (sl2r, so3, heisenberg) or a JSON definition file")
-    parser.add_argument("--n", type=int, dest="size", help="Heisenberg size (dimension 2n+1)")
-    parser.add_argument("--casimir", help="orbit level c: relation = (built-in Casimir) - c")
-    parser.add_argument("--relation", help="orbit relation as a polynomial expression")
-    parser.add_argument("--max-degree", type=int, help="degree or source bound for the checks")
-    parser.add_argument("--gen", action="append", default=[], dest="generators", metavar="EXPR",
-                        help="generator polynomial (repeatable)")
-    parser.add_argument("--k", type=int, help="lowest degree of the homogeneous ideal (default 1)")
-    parser.add_argument("--orbit-type", choices=[t.value for t in OrbitType],
-                        help="override the orbit classification")
-    parser.add_argument("--json", action="store_true", dest="json_output", help="emit the report as JSON")
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError on a parse error, and is filled in from COMMANDS
+    only when it parses: a command gets its flags, a group only the
+    sub-command that argv names (all of them when argv names none, so that
+    help and errors list them).  One command line thus builds one parser per
+    word, not one per table entry."""
+
+    name: str | None = None
+    filled = False
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        if not self.filled:
+            self.filled = True
+            self._fill(args)
+        return super().parse_known_args(args, namespace)
+
+    def _fill(self, args: list[str]) -> None:
+        children = [name for name, row in COMMANDS.items() if row[0] == self.name]
+        if children:
+            sub = self.add_subparsers(dest="claim" if self.name else "command", required=True, prog=self.prog)
+            for name in [args[0]] if args and args[0] in children else children:
+                summary = COMMANDS[name][1]
+                sub.add_parser(name, help=summary, description=summary).name = name
+            return
+        _, _, run, flags, defaults = COMMANDS[self.name]
+        self.set_defaults(run=run, **defaults)
+        algebra = defaults.get("algebra")
+        self.add_argument("--algebra", required=algebra is None, choices=algebra and [algebra],
+                          help="built-in algebra name (sl2r, so3, heisenberg) or a JSON definition file")
+        self.add_argument("--n", type=int, dest="size", help="Heisenberg size (dimension 2n+1)")
+        orbit = self.add_mutually_exclusive_group() if ORBIT[0] in flags else None
+        for flag in flags:
+            (orbit if flag in ORBIT else self).add_argument(flag, **FLAGS[flag])
+        self.add_argument("--json", action="store_true", dest="json_output", help="emit the report as JSON")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """A parser for one command line: it fills itself in from the first argv
+    it parses, so parse each command line with a fresh one."""
+    return _Parser(
         prog="liepoisson",
         description="Exact degreewise verification of polynomial Poisson algebra structure on coadjoint orbits.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_validate = sub.add_parser("validate", help="check the bracket axioms and the Killing form")
-    _add_common(p_validate)
-
-    p_verify = sub.add_parser("verify", help="run a structure verification")
-    p_verify.add_argument(
-        "claim",
-        choices=VERIFY_CLAIMS,
-        help="prop1: center/bracket-span splitting of the free algebra; "
-        "thm2: constants split off on an orbit; heisenberg: constants are "
-        "bracket-reachable on the symplectic orbit; nilpotent-ideals: graded "
-        "proper Poisson ideals on a cone; nonexact: bounded infeasibility of "
-        "1 = {x,f}+{y,g}+{z,h}; lemma: strictness of the ideal square",
-    )
-    _add_common(p_verify)
-
-    p_probe = sub.add_parser("probe", help="run an exploratory probe")
-    p_probe.add_argument("kind", choices=["simplicity"], help="probe kind")
-    _add_common(p_probe)
-
-    return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        claim=getattr(args, "claim", None) or getattr(args, "kind", None),
-        algebra=args.algebra,
-        size=args.size,
-        casimir=args.casimir,
-        relation=args.relation,
-        max_degree=args.max_degree,
-        k=args.k,
-        generators=list(args.generators),
-        orbit_type=args.orbit_type,
-        json_output=args.json_output,
-    )
+def run(argv: list[str] | None = None) -> tuple[int, str]:
+    """Parse argv (default: sys.argv[1:]) and run its command; returns
+    (exit status, report text)."""
+    try:
+        args = build_parser().parse_args(argv)
+        report = args.run(args)
+    except (ValueError, OSError) as exc:  # UsageError and every input error are ValueErrors
+        return EXIT_USAGE, f"error: {exc}\n"
+    output = report.to_json() if args.json_output else report.render_text()
+    return (EXIT_PASS if report.passed else EXIT_FAIL), output
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        config = config_from_args(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    status, output = run(config)
-    stream = sys.stderr if status == EXIT_USAGE else sys.stdout
-    print(output, end="", file=stream)
+    status, output = run(argv)
+    print(output, end="", file=sys.stderr if status == EXIT_USAGE else sys.stdout)
     return status
 
 

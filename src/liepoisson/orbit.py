@@ -92,8 +92,6 @@ def make_orbit(
     (the level set is then not a union of symplectic leaves at this scale).
     ``orbit_type`` overrides the built-in classification rule.
     """
-    if relation.nvars != algebra.dim:
-        raise ValueError("relation does not match the algebra's variable count")
     ideal = OrbitIdeal(relation)
     context = PoissonContext.quotient(algebra, ideal)
     tag = orbit_type if orbit_type is not None else _classify(algebra, relation)

@@ -557,6 +557,8 @@ def verify_homogeneous_ideals(orbit: OrbitDescriptor, k: int, degree_bound: int)
     """
     if k < 1:
         raise ValueError("the homogeneous ideal index k must be at least 1")
+    if k > degree_bound:
+        raise ValueError(f"the homogeneous ideal index k={k} exceeds the degree bound {degree_bound}")
     if not orbit.ideal.is_homogeneous:
         raise ValueError("orbit relation is not homogeneous; the quotient is not graded")
     ctx = orbit.context
@@ -719,6 +721,8 @@ def ideal_square_check(
     gens = [ctx.reduce(g) for g in generators]
     if any(not g for g in gens):
         raise ValueError("ideal generators must be nonzero in the context")
+    if any(g.degree() > degree_bound for g in gens):
+        raise ValueError("ideal generator degree exceeds the bound")
     report = VerificationReport(
         "lemma",
         {

@@ -7,7 +7,7 @@ All checks are exact (rational arithmetic, zero tolerance).  Run with
 import json
 import random
 
-from liepoisson.cli import EXIT_PASS, build_parser, config_from_args, run
+from liepoisson.cli import EXIT_PASS, run
 from liepoisson.liealg import builtin
 from liepoisson.orbit import casimir_orbit
 from liepoisson.poisson import PoissonContext, jacobi_defect, leibniz_defect
@@ -208,11 +208,10 @@ def test_criterion_8_deterministic_reports():
             ["verify", "nonexact", "--algebra", "sl2r", "--max-degree", "2"],
             ["verify", "lemma", "--algebra", "sl2r", "--gen", "x", "--max-degree", "4"],
         ]
-        parser = build_parser()
         for args in commands:
             argv = args + ["--json"]
-            first = run(config_from_args(parser.parse_args(argv)))
-            second = run(config_from_args(parser.parse_args(argv)))
+            first = run(argv)
+            second = run(argv)
             assert first == second
             status, text = first
             assert status == EXIT_PASS

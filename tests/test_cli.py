@@ -1,9 +1,9 @@
 """Command-line interface: exit codes, report formats, and determinism."""
 
-import copy
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,33 +11,17 @@ from pathlib import Path
 import pytest
 
 import liepoisson
-from liepoisson.cli import (
-    EXIT_FAIL,
-    EXIT_PASS,
-    EXIT_USAGE,
-    RunConfig,
-    UsageError,
-    build_parser,
-    config_from_args,
-    main,
-    run,
-)
-
-
-def run_args(args):
-    """Parse argv the way main() does, then execute, returning (status, text)."""
-    config = config_from_args(build_parser().parse_args(args))
-    return run(config)
+from liepoisson.cli import COMMANDS, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main, run
 
 
 def test_verify_prop1_passes():
-    status, text = run_args(["verify", "prop1", "--algebra", "sl2r", "--max-degree", "4"])
+    status, text = run(["verify", "prop1", "--algebra", "sl2r", "--max-degree", "4"])
     assert status == EXIT_PASS
     assert "overall: pass" in text
 
 
 def test_verify_thm2_passes():
-    status, text = run_args(
+    status, text = run(
         ["verify", "thm2", "--algebra", "sl2r", "--casimir", "1", "--max-degree", "3"]
     )
     assert status == EXIT_PASS
@@ -45,7 +29,7 @@ def test_verify_thm2_passes():
 
 
 def test_verify_prop1_heisenberg_records_failure():
-    status, text = run_args(
+    status, text = run(
         ["verify", "prop1", "--algebra", "heisenberg", "--n", "1", "--max-degree", "2"]
     )
     assert status == EXIT_FAIL
@@ -53,27 +37,27 @@ def test_verify_prop1_heisenberg_records_failure():
 
 
 def test_verify_heisenberg_counterexample():
-    status, _ = run_args(["verify", "heisenberg", "--n", "1"])
+    status, _ = run(["verify", "heisenberg", "--n", "1"])
     assert status == EXIT_PASS
 
 
 def test_verify_nilpotent_ideals_defaults_to_the_cone():
-    status, _ = run_args(["verify", "nilpotent-ideals", "--algebra", "sl2r", "--max-degree", "3"])
+    status, _ = run(["verify", "nilpotent-ideals", "--algebra", "sl2r", "--max-degree", "3"])
     assert status == EXIT_PASS
 
 
 def test_verify_nonexact():
-    status, _ = run_args(["verify", "nonexact", "--algebra", "sl2r", "--max-degree", "2"])
+    status, _ = run(["verify", "nonexact", "--algebra", "sl2r", "--max-degree", "2"])
     assert status == EXIT_PASS
 
 
 def test_verify_lemma_free_and_quotient():
-    status, text = run_args(
+    status, text = run(
         ["verify", "lemma", "--algebra", "sl2r", "--gen", "x", "--max-degree", "4"]
     )
     assert status == EXIT_PASS
     assert "witness" in text
-    status, _ = run_args(
+    status, _ = run(
         ["verify", "lemma", "--algebra", "sl2r", "--casimir", "0",
          "--gen", "x", "--gen", "y", "--gen", "z", "--max-degree", "4"]
     )
@@ -81,7 +65,7 @@ def test_verify_lemma_free_and_quotient():
 
 
 def test_probe_simplicity():
-    status, _ = run_args(
+    status, _ = run(
         ["probe", "simplicity", "--algebra", "sl2r", "--casimir", "1",
          "--gen", "x", "--gen", "z", "--gen", "x + y", "--max-degree", "4"]
     )
@@ -89,7 +73,7 @@ def test_probe_simplicity():
 
 
 def test_validate_builtin_and_file(tmp_path):
-    status, text = run_args(["validate", "--algebra", "so3"])
+    status, text = run(["validate", "--algebra", "so3"])
     assert status == EXIT_PASS
     assert "killing_form" in text
 
@@ -99,7 +83,7 @@ def test_validate_builtin_and_file(tmp_path):
         "basis": ["a", "b"],
         "brackets": [{"i": "a", "j": "b", "terms": [{"k": "b", "coeff": "1"}]}],
     }))
-    status, text = run_args(["validate", "--algebra", str(path)])
+    status, text = run(["validate", "--algebra", str(path)])
     assert status == EXIT_PASS
 
 
@@ -109,7 +93,7 @@ def test_size_flag_rejected_for_non_heisenberg_algebras(algebra, tmp_path):
         path = tmp_path / "alg.json"
         path.write_text(json.dumps({"dim": 1, "basis": ["a"], "brackets": []}))
         algebra = str(path)
-    status, text = run_args(["verify", "prop1", "--algebra", algebra, "--n", "2", "--max-degree", "1"])
+    status, text = run(["verify", "prop1", "--algebra", algebra, "--n", "2", "--max-degree", "1"])
     assert status == EXIT_USAGE
     assert "--n" in text
 
@@ -117,7 +101,7 @@ def test_size_flag_rejected_for_non_heisenberg_algebras(algebra, tmp_path):
 def test_unparseable_algebra_file_is_a_usage_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"dim": 3, "basis": ')
-    status, text = run_args(["validate", "--algebra", str(path)])
+    status, text = run(["validate", "--algebra", str(path)])
     assert status == EXIT_USAGE
     assert "line" in text and "column" in text
 
@@ -141,7 +125,7 @@ def test_malformed_algebra_file_is_a_usage_error(body, tmp_path, capsys):
 
 
 def test_unclosed_relation_is_a_usage_error():
-    status, text = run_args(
+    status, text = run(
         ["verify", "thm2", "--algebra", "sl2r", "--relation", "z - 1", "--max-degree", "2"]
     )
     assert status == EXIT_USAGE
@@ -149,7 +133,7 @@ def test_unclosed_relation_is_a_usage_error():
 
 
 def test_bad_expression_reports_position():
-    status, text = run_args(
+    status, text = run(
         ["verify", "thm2", "--algebra", "sl2r", "--relation", "x + ?", "--max-degree", "2"]
     )
     assert status == EXIT_USAGE
@@ -157,27 +141,44 @@ def test_bad_expression_reports_position():
 
 
 def test_missing_orbit_is_a_usage_error():
-    status, text = run_args(["verify", "thm2", "--algebra", "sl2r", "--max-degree", "2"])
+    status, text = run(["verify", "thm2", "--algebra", "sl2r", "--max-degree", "2"])
     assert status == EXIT_USAGE
     assert "--casimir" in text
 
 
 def test_unknown_algebra_is_a_usage_error():
-    status, text = run_args(["validate", "--algebra", "su5"])
+    status, text = run(["validate", "--algebra", "su5"])
     assert status == EXIT_USAGE
 
 
 @pytest.mark.parametrize(
-    "fields",
+    "args,flag",
     [
-        {"claim": "thm2", "algebra": "sl2r", "casimir": "1", "relation": "z"},
-        {"max_degree": -1},
+        (["verify", "thm2", "--algebra", "sl2r", "--casimir", "1", "--relation", "z", "--max-degree", "2"],
+         "--casimir"),
+        (["verify", "prop1", "--algebra", "sl2r", "--max-degree", "-1"], "--max-degree"),
     ],
     ids=["conflicting-orbit-flags", "negative-max-degree"],
 )
-def test_invalid_run_config_rejected(fields):
-    with pytest.raises(UsageError):
-        RunConfig(command="verify", **fields)
+def test_invalid_flag_values_are_usage_errors(args, flag):
+    status, text = run(args)
+    assert status == EXIT_USAGE
+    assert flag in text
+
+
+# The flags each command reads, beyond the --algebra, --n and --json that all read.
+COMMAND_LINES = {name: ([parent, name] if parent else [name], flags)
+                 for name, (parent, _, runner, flags, _) in COMMANDS.items() if runner}
+
+
+@pytest.mark.parametrize("name", COMMAND_LINES)
+def test_help_lists_exactly_the_flags_a_command_reads(name, capsys):
+    words, flags = COMMAND_LINES[name]
+    with pytest.raises(SystemExit) as exc:
+        main([*words, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    assert listed == {"--algebra", "--n", "--json", *flags}
 
 
 @pytest.mark.parametrize("module", ["liepoisson", "liepoisson.cli"])
@@ -206,8 +207,8 @@ def test_json_reports_are_byte_identical_across_runs():
         ["verify", "lemma", "--algebra", "sl2r", "--gen", "x", "--max-degree", "3", "--json"],
     ]
     for args in commands:
-        status1, text1 = run_args(args)
-        status2, text2 = run_args(args)
+        status1, text1 = run(args)
+        status2, text2 = run(args)
         assert status1 == status2
         assert text1 == text2
         payload = json.loads(text1)
@@ -252,10 +253,11 @@ def test_pinned_json_report_digests(capsys, args, status, digest):
 
 
 def test_seed_flag_is_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "prop1", "--algebra", "sl2r", "--max-degree", "2", "--seed", "7"])
-    assert exc.value.code == EXIT_USAGE
-    assert "--seed" in capsys.readouterr().err
+    assert main(["verify", "prop1", "--algebra", "sl2r", "--max-degree", "2", "--seed", "7"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "--seed" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -271,32 +273,51 @@ def test_seed_flag_is_rejected(capsys):
         (["verify", "heisenberg", "--orbit-type", "nilpotent"], "--orbit-type"),
         (["verify", "lemma", "--algebra", "sl2r", "--gen", "x", "--orbit-type", "other"], "--orbit-type"),
         (["verify", "thm2", "--algebra", "sl2r", "--casimir", "1", "--k", "1"], "--k"),
+        (["validate", "--algebra", "sl2r"], "--max-degree"),
     ],
     ids=["prop1-casimir", "prop1-relation", "validate-relation", "validate-casimir", "thm2-gen",
-         "nilpotent-gen", "nonexact-orbit-type", "heisenberg-orbit-type", "lemma-orbit-type", "thm2-k"],
+         "nilpotent-gen", "nonexact-orbit-type", "heisenberg-orbit-type", "lemma-orbit-type", "thm2-k",
+         "validate-max-degree"],
 )
 def test_ignored_flags_are_usage_errors(args, flag):
-    status, text = run_args([*args, "--max-degree", "2"])
+    status, text = run([*args, "--max-degree", "2"])
     assert status == EXIT_USAGE
     assert flag in text
 
 
 def test_orbit_type_and_gen_accepted_where_read():
-    status, _ = run_args(["verify", "thm2", "--algebra", "sl2r", "--casimir", "1",
+    status, _ = run(["verify", "thm2", "--algebra", "sl2r", "--casimir", "1",
                           "--orbit-type", "semisimple", "--max-degree", "2"])
     assert status == EXIT_PASS
-    status, _ = run_args(["probe", "simplicity", "--algebra", "sl2r", "--casimir", "0",
+    status, _ = run(["probe", "simplicity", "--algebra", "sl2r", "--casimir", "0",
                           "--orbit-type", "nilpotent", "--gen", "z", "--max-degree", "3"])
     assert status == EXIT_PASS
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["verify", "lemma", "--algebra", "sl2r", "--gen", "x", "--max-degree", "0"], "exceeds the bound"),
+        (["verify", "lemma", "--algebra", "sl2r", "--gen", "x^2", "--max-degree", "1"], "exceeds the bound"),
+        (["verify", "nilpotent-ideals", "--algebra", "sl2r", "--max-degree", "0"], "k=1 exceeds the degree bound 0"),
+        (["verify", "nilpotent-ideals", "--algebra", "sl2r", "--k", "3", "--max-degree", "2"],
+         "k=3 exceeds the degree bound 2"),
+    ],
+    ids=["lemma-linear-0", "lemma-quadratic-1", "nilpotent-k1-0", "nilpotent-k3-2"],
+)
+def test_bound_below_the_generators_is_a_usage_error(args, message):
+    status, text = run(args)
+    assert status == EXIT_USAGE
+    assert message in text
+
+
 def test_k_defaults_to_one_and_is_checked_on_nilpotent_ideals():
     base = ["verify", "nilpotent-ideals", "--algebra", "sl2r", "--max-degree", "3", "--json"]
-    status, text = run_args(base)
+    status, text = run(base)
     assert status == EXIT_PASS
     assert json.loads(text)["params"]["k"] == 1
-    assert run_args([*base, "--k", "1"]) == (status, text)
-    status, text = run_args([*base, "--k", "0"])
+    assert run([*base, "--k", "1"]) == (status, text)
+    status, text = run([*base, "--k", "0"])
     assert status == EXIT_USAGE
     assert "at least 1" in text
 
@@ -312,16 +333,15 @@ def test_k_defaults_to_one_and_is_checked_on_nilpotent_ideals():
 )
 def test_default_orbit_level_equals_explicit_casimir(args, level):
     for extra in ([], ["--json"]):
-        config = config_from_args(build_parser().parse_args([*args, *extra]))
-        before = copy.deepcopy(config)
-        default = run(config)
-        assert config == before  # the default level is read, never written back
-        assert default == run_args([*args, *extra, "--casimir", level])
+        argv = [*args, *extra]
+        default = run(argv)
+        assert argv == [*args, *extra]  # the default level is read, never written back
+        assert default == run([*args, *extra, "--casimir", level])
         assert default[0] == EXIT_PASS
 
 
 def test_exit_status_matches_report_verdict():
-    status, text = run_args(
+    status, text = run(
         ["verify", "prop1", "--algebra", "heisenberg", "--n", "1", "--max-degree", "1", "--json"]
     )
     payload = json.loads(text)
