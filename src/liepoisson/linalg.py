@@ -3,16 +3,16 @@
 One sparse, fraction-free elimination engine, ``RowBasis``, takes rows as
 lists of ``(column, nonzero value)`` pairs and stores each as a ``dict``
 from column to integer entry, scaled to coprime integers.  A row is reduced
-by repeatedly clearing its leading column with the stored row pivoted there,
-using the cross-multiplication ``b*row - a*stored`` followed by division by
-the gcd of the entries, so only nonzero entries are ever touched and no
-rational arithmetic happens until results are read out.  Pivots are always
-the leading column, so the reduced echelon form, its pivot set, the solution
-with free variables zero and the kernel basis are canonical.  Sums and
-intersections of row spaces are one Zassenhaus elimination.  The dense
-functions below ``RowBasis`` (vectors are lists of ``Fraction``, matrices
-lists of rows) are called by no claim; they remain because the benchmark's
-layer hooks wrap them by name.
+in place by clearing its leading column with the stored row pivoted there,
+scaling the row only when the stored pivot does not divide that entry, and
+is divided by the gcd of its entries once, after the last step.  Only
+nonzero entries are touched, and no rational arithmetic happens until
+results are read out.  Pivots are always the leading column, so the reduced
+echelon form, its pivot set, the solution with free variables zero and the
+kernel basis are canonical.  Sums and intersections of row spaces are one
+Zassenhaus elimination.  The dense functions below ``RowBasis`` (vectors
+are lists of ``Fraction``, matrices lists of rows) are called by no claim;
+they remain because the benchmark's layer hooks wrap them by name.
 """
 
 from __future__ import annotations
@@ -41,9 +41,7 @@ def _check_rectangular(m: Sequence[Sequence[Fraction]]) -> int:
 def _content_reduce(row: Row) -> Row:
     """Divide a sparse integer row by the gcd of its entries."""
     g = gcd(*row.values())
-    if g > 1:
-        return {j: a // g for j, a in row.items()}
-    return row
+    return {j: a // g for j, a in row.items()} if g > 1 else row
 
 
 def _scaled(pairs: Pairs) -> Row:
@@ -52,18 +50,22 @@ def _scaled(pairs: Pairs) -> Row:
     return _content_reduce({j: a.numerator * (scale // a.denominator) for j, a in pairs})
 
 
-def _eliminate(row: Row, pivot_row: Row, col: int) -> Row:
-    """Clear ``row[col]`` with ``pivot_row`` by fraction-free cross-multiplication."""
-    g = gcd(row[col], pivot_row[col])
-    a, b = row[col] // g, pivot_row[col] // g
-    out = {j: b * v for j, v in row.items()}
+def _clear(row: Row, pivot_row: Row, col: int) -> None:
+    """Clear ``row[col]`` in place with ``pivot_row``, scaling ``row`` only if needed."""
+    a, b = row[col], pivot_row[col]
+    g = gcd(a, b)
+    if g == abs(b):
+        f = a // b
+    else:
+        f, s = a // g, b // g
+        for j in row:
+            row[j] *= s
     for j, v in pivot_row.items():
-        w = out.get(j, 0) - a * v
+        w = row.get(j, 0) - f * v
         if w:
-            out[j] = w
+            row[j] = w
         else:
-            del out[j]
-    return _content_reduce(out)
+            del row[j]
 
 
 class RowBasis:
@@ -83,21 +85,17 @@ class RowBasis:
         return len(self._rows)
 
     def _reduce(self, row: Row) -> Row:
-        """Residual of a sparse row; empty exactly when it lies in the span."""
+        """Reduce a fresh row in place to its residual, empty iff it is in the span."""
         rows = self._rows
-        while row:
-            p = min(row)
-            stored = rows.get(p)
-            if stored is None:
-                break
-            row = _eliminate(row, stored, p)
+        while row and (p := min(row)) in rows:
+            _clear(row, rows[p], p)
         return row
 
     def _add(self, row: Row) -> bool:
         row = self._reduce(row)
         if not row:
             return False
-        self._rows[min(row)] = row
+        self._rows[min(row)] = _content_reduce(row)
         return True
 
     def rref(self) -> dict[int, Row]:
@@ -106,10 +104,10 @@ class RowBasis:
         canonical reduced echelon row."""
         done: dict[int, Row] = {}
         for p in sorted(self._rows, reverse=True):
-            row = self._rows[p]
+            row = dict(self._rows[p])
             for q in [j for j in row if j in done]:
-                row = _eliminate(row, done[q], q)
-            done[p] = row
+                _clear(row, done[q], q)
+            done[p] = _content_reduce(row)
         return dict(sorted(done.items()))
 
     def _row(self, pairs: Pairs) -> Row:

@@ -97,11 +97,12 @@ def _free_degree_split(ctx: PoissonContext, degree: int) -> tuple[Span, Span]:
 
     D sends a degree-``degree`` monomial m to ({x_1, m}, ..., {x_dim, m}),
     each bracket evaluated once.  The center ker D is read off one
-    elimination of the rows [D(m_j) | e_j]: those pivoted in the identity
-    block are [0 | c], and their c span ker D.  Each row is scaled by the lcm
-    of its brackets' denominators, so its entries are integers.  The derived
-    slice, the span of the components {x_i, m}, is all of {P, P} in this
-    degree.
+    elimination of the rows [D(m_j) | e_j], scaled to integers: those
+    pivoted in the identity block are [0 | c], and their c span ker D.  D
+    is laid out monomial-major, coordinate c of {x_i, m_j} in column
+    c * dim + i: each target monomial's dim coordinates are cleared
+    together, where generator-major columns fill in the identity block.
+    The derived slice, the span of the {x_i, m}, is all of {P, P} here.
     """
     center = Span(ctx.basis_monomials(degree))
     derived = Span(center.monomials)
@@ -118,7 +119,7 @@ def _free_degree_split(ctx: PoissonContext, degree: int) -> tuple[Span, Span]:
             if vec:
                 derived.rows.insert(vec)
                 s = scale // br.den
-                row += [(i * size + c, a * s) for c, a in vec]
+                row += [(c * dim + i, a * s) for c, a in vec]
         operator.insert(row)
     for row in operator.tail(dim * size):
         center.rows.insert(row)
@@ -237,12 +238,7 @@ class VerificationReport:
         for note in self.notes:
             lines.append(f"note: {note}")
         if self.records:
-            columns: list[str] = []
-            for record in self.records:
-                for key in record:
-                    if key != "verdict" and key not in columns:
-                        columns.append(key)
-            columns.append("verdict")
+            columns = [*dict.fromkeys(k for r in self.records for k in r if k != "verdict"), "verdict"]
             table = [[_text_cell(r.get(c, "")) for c in columns] for r in self.records]
             widths = [
                 max(len(columns[i]), max(len(row[i]) for row in table))
@@ -371,6 +367,8 @@ def verify_heisenberg(orbit: OrbitDescriptor, bound: int = 2) -> VerificationRep
     is itself a reduced bracket, so the splitting that holds in the
     semisimple case fails here.
     """
+    if bound < 1:
+        raise ValueError(f"the bracket bound --max-degree must be at least 1, got {bound}")
     ctx = orbit.context
     one = Polynomial.constant(ctx.nvars, 1)
     verdict = derived_membership(ctx, one, bound)

@@ -302,8 +302,9 @@ def test_orbit_type_and_gen_accepted_where_read():
         (["verify", "nilpotent-ideals", "--algebra", "sl2r", "--max-degree", "0"], "k=1 exceeds the degree bound 0"),
         (["verify", "nilpotent-ideals", "--algebra", "sl2r", "--k", "3", "--max-degree", "2"],
          "k=3 exceeds the degree bound 2"),
+        (["verify", "heisenberg", "--n", "1", "--max-degree", "0"], "--max-degree must be at least 1"),
     ],
-    ids=["lemma-linear-0", "lemma-quadratic-1", "nilpotent-k1-0", "nilpotent-k3-2"],
+    ids=["lemma-linear-0", "lemma-quadratic-1", "nilpotent-k1-0", "nilpotent-k3-2", "heisenberg-0"],
 )
 def test_bound_below_the_generators_is_a_usage_error(args, message):
     status, text = run(args)

@@ -94,15 +94,14 @@ def sl3_borel():
     return matrix_algebra([names[k] for k in keep], [mats[k] for k in keep])
 
 
-def rebased_sl3(seed=1):
+def rebased_sl3(seed=1, ops=3):
     """sl3 in the basis e'_a = sum_i u[a][i] e_i for a seeded unimodular
-    integer matrix u, a product of three elementary row operations (prop1's
-    elimination slows steeply as the basis change fills in the structure
-    constants)."""
+    integer matrix u, a product of ``ops`` elementary row operations, so the
+    structure constants fill in as ``ops`` grows."""
     names, mats = sl3_matrices()
     rng = random.Random(seed)
     u = [[int(i == j) for j in range(8)] for i in range(8)]
-    for _ in range(3):
+    for _ in range(ops):
         a, b = rng.sample(range(8), 2)
         c = rng.choice((-2, -1, 1, 2))
         u[a] = [x + c * y for x, y in zip(u[a], u[b])]
@@ -117,8 +116,17 @@ def series_coefficient(n, d1, d2):
 
 @pytest.mark.parametrize(
     "build,degrees,max_degree",
-    [(sl3, (2, 3), 5), (so4, (2, 2), 6), (sp4, (2, 4), 4), (rebased_sl3, (2, 3), 4)],
-    ids=["sl3", "so4", "sp4", "sl3-unimodular-basis-change"],
+    [
+        (sl3, (2, 3), 5),
+        (so4, (2, 2), 6),
+        (sp4, (2, 4), 4),
+        (rebased_sl3, (2, 3), 4),
+        # non-sparse bases: with generator-major operator columns the [D | I]
+        # elimination fills in, and these two take over a minute together
+        (lambda: rebased_sl3(seed=2, ops=4), (2, 3), 4),
+        (lambda: rebased_sl3(seed=2, ops=8), (2, 3), 4),
+    ],
+    ids=["sl3", "so4", "sp4", "sl3-unimodular-basis-change", "sl3-four-operations", "sl3-eight-operations"],
 )
 def test_prop1_center_dims_follow_the_invariant_degrees(build, degrees, max_degree):
     algebra = build()

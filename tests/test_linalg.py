@@ -230,6 +230,34 @@ def test_sparse_nullspace_matches_oracle_kernel_basis(m):
     assert nullspace(m) == kernel_basis(m)
 
 
+@given(sparse_matrices(), st.data())
+@settings(deadline=None, max_examples=50)
+def test_queries_leave_both_operands_unchanged(m, data):
+    # rows are reduced in place, so no query may write to a stored row, and
+    # the rows tail hands out must not change under later inserts
+    split = data.draw(st.integers(0, len(m)))
+    a, b = RowBasis(len(m[0])), RowBasis(len(m[0]))
+    for row in m[:split]:
+        a.insert(pairs(row))
+    for row in m[split:]:
+        b.insert(pairs(row))
+    before = [(rb.rank, rb.rref()) for rb in (a, b)]
+    tail = a.tail(data.draw(st.integers(0, len(m[0]))))
+    tail_before = [list(row) for row in tail]
+    for row in m:
+        a.contains(pairs(row))
+        b.contains(pairs(row))
+    a.rref()
+    b.rref()
+    a.sum_and_intersection(b)
+    b.sum_and_intersection(a)
+    assert [(rb.rank, rb.rref()) for rb in (a, b)] == before
+    assert all(a.contains(pairs(row)) for row in m[:split])
+    for row in m[split:]:
+        a.insert(pairs(row))
+    assert tail == tail_before
+
+
 def test_row_space_intersection_planes():
     a = fr([[1, 0, 0], [0, 1, 0]])
     b = fr([[0, 1, 0], [0, 0, 1]])

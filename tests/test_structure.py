@@ -36,7 +36,7 @@ from liepoisson.structure import (
     verify_thm2,
 )
 
-from oracles import division_normal_form, leibniz_bracket, rref_rank
+from oracles import division_normal_form, kernel_basis, leibniz_bracket, rref, rref_rank
 from test_poisson import SCALED_SL2R
 
 SL2R = builtin("sl2r")
@@ -48,13 +48,12 @@ def sl2(text):
     return parse_polynomial(text, SL2R.names)
 
 
-def oracle_invariant_dimension(algebra, degree):
-    """Kernel dimension of the stacked generator-bracket operators.
+def oracle_bracket_operator(algebra, mons):
+    """The generator-bracket operators on the span of ``mons``, stacked.
 
-    Assembled with the recursive-Leibniz bracket and ranked by plain
-    rational elimination, independently of the package's span machinery.
+    Assembled with the recursive-Leibniz bracket, independently of the
+    package's span machinery; ``mons`` must be every monomial of one degree.
     """
-    mons = monomials_of_degree(algebra.dim, degree)
     index = {m: i for i, m in enumerate(mons)}
     stacked = []
     for i in range(algebra.dim):
@@ -65,7 +64,20 @@ def oracle_invariant_dimension(algebra, degree):
             for mm, c in image.terms.items():
                 block[index[mm]][col] = c
         stacked.extend(block)
-    return len(mons) - rref_rank(stacked)
+    return stacked
+
+
+def oracle_invariant_dimension(algebra, degree):
+    """Kernel dimension of the stacked operators, by plain rational elimination."""
+    mons = monomials_of_degree(algebra.dim, degree)
+    return len(mons) - rref_rank(oracle_bracket_operator(algebra, mons))
+
+
+def oracle_invariants(algebra, mons):
+    """Reduced echelon basis, in the order of ``mons``, of the oracle kernel
+    of the stacked operators, read as polynomials."""
+    echelon, _ = rref(kernel_basis(oracle_bracket_operator(algebra, mons)))
+    return [Polynomial(algebra.dim, {m: c for m, c in zip(mons, row) if c}) for row in echelon]
 
 
 def oracle_linear_bracket_span_rank(algebra, degree):
@@ -222,6 +234,13 @@ FREE_SPLIT_ALGEBRAS = {
     "heisenberg1": builtin("heisenberg", 1),
     "heisenberg2": builtin("heisenberg", 2),
     "scaled-sl2r": SCALED_SL2R,
+    # the rotated sl2r of the benchmark's seed 0, e'_1 = e_1 - e_2,
+    # e'_2 = e_2 + e_3, e'_3 = e_3: every structure constant is nonzero
+    "shear-sl2r": LieAlgebra.from_brackets(
+        ("u", "v", "w"),
+        {(0, 1): {0: -1, 1: -2, 2: 1}, (0, 2): {0: -1, 1: -2, 2: 2}, (1, 2): {0: 1, 1: 1, 2: -1}},
+        "shear-sl2r",
+    ),
     # D = 0: every operator row pivots in the identity block, so the center
     # is the whole slice and the derived slice is zero
     "abelian2": LieAlgebra(("a", "b"), {}, "abelian2"),
@@ -236,7 +255,7 @@ def test_free_degree_split_matches_derived_span_and_oracle(name):
         center, derived = _free_degree_split(ctx, n)
         assert derived.basis() == derived_span(ctx, n, n + 1).basis()
         if len(center.monomials) <= 70:  # the dense oracle is slow beyond this
-            assert center.rank == oracle_invariant_dimension(algebra, n)
+            assert center.basis() == oracle_invariants(algebra, center.monomials)
 
 
 @pytest.mark.parametrize("name", SPAN_CONTEXTS)
@@ -343,6 +362,14 @@ def test_thm2_ladder_matches_derived_membership(orbit):
 def test_verify_heisenberg_counterexample():
     report = verify_heisenberg(casimir_orbit(builtin("heisenberg", 1), 1), 2)
     assert report.verdict == "pass"
+
+
+def test_verify_heisenberg_rejects_bound_0():
+    # bound 0 has no bracket sources, so a fail there would only restate the bound
+    orbit = casimir_orbit(builtin("heisenberg", 1), 1)
+    with pytest.raises(ValueError, match="--max-degree must be at least 1"):
+        verify_heisenberg(orbit, 0)
+    assert verify_heisenberg(orbit, 1).verdict == "pass"
 
 
 def test_closure_reaches_one_on_the_hyperboloid():
