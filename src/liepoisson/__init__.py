@@ -40,7 +40,6 @@ from .poly import (
     parse_polynomial,
 )
 from .structure import (
-    ClosureResult,
     Membership,
     VerificationReport,
     derived_membership,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BracketClosureError",
-    "ClosureResult",
     "InvalidLieAlgebraError",
     "LieAlgebra",
     "LieAlgebraFormatError",

@@ -8,7 +8,8 @@ canonical monomials and one exact ``RowBasis`` over their coefficients.
 ``insert`` and ``contains`` take polynomials, and ``basis`` reads the
 canonical reduced echelon basis back as polynomials.  A claim's subspace is
 returned as the ``Span`` that built it (``derived_span``,
-``invariants_basis``) or inside a ``ClosureResult`` next to its verdicts.
+``invariants_basis``, ``poisson_ideal_closure``), and callers read its
+verdicts (membership of 1, rank, gradedness) from the span directly.
 Coordinates stay sparse: a polynomial enters its span's ``RowBasis`` as
 (column, integer numerator) pairs, and kernels and intersections are read
 off one elimination each.  Every bracket span is built from the brackets
@@ -81,6 +82,16 @@ class Span:
     def basis(self) -> list[Polynomial]:
         """Canonical reduced echelon basis, one polynomial per pivot monomial."""
         return _polynomials(self.monomials, self.rows)
+
+    def is_graded(self) -> bool:
+        """Whether the span is the direct sum of its degree components, that
+        is, whether every degree component of every basis polynomial lies in
+        it (taking a component is linear, so any spanning set would do)."""
+        return all(
+            self.contains(p.graded_component(d))
+            for p in self.basis()
+            for d in {monomial_degree(m) for m in p.num}
+        )
 
 
 def _polynomials(monomials: Sequence[Monomial], rows: RowBasis) -> list[Polynomial]:
@@ -171,20 +182,23 @@ def derived_membership(ctx: PoissonContext, f: Polynomial, source_bound: int) ->
     The negative verdict is explicitly bound-relative: it says nothing
     about larger bounds.
     """
-    f = ctx.reduce(f)
-    span = Span(ctx.basis_monomials_up_to(max(source_bound, f.degree())))
-    if _entry_bound(span, _bracket_sources(ctx, source_bound), f) is None:
+    if _entry_bound(ctx, f, _bracket_sources(ctx, source_bound), source_bound) is None:
         return Membership.NOT_IN_SPAN_AT_BOUND
     return Membership.IN_SPAN
 
 
-def _entry_bound(span: Span, sources: Iterable[tuple[int, Polynomial]], target: Polynomial) -> int | None:
-    """Least source bound whose brackets put ``target`` in ``span``: 0 if it
-    is already a member, None if it never enters.  The ``(bound, bracket)``
-    sources must come in nondecreasing bound, as ``_bracket_sources`` yields
-    them; they are consumed one bound at a time and ``target`` is tested after
-    each, so no bracket past the entry bound is evaluated.
+def _entry_bound(
+    ctx: PoissonContext, target: Polynomial, sources: Iterable[tuple[int, Polynomial]], source_bound: int
+) -> int | None:
+    """Least source bound whose brackets put the normal form of ``target`` in
+    their span: 0 if it is zero, None if it never enters.  The ``(bound,
+    bracket)`` sources must come in nondecreasing bound up to
+    ``source_bound``, as ``_bracket_sources`` yields them; they are consumed
+    one bound at a time and ``target`` is tested after each, so no bracket
+    past the entry bound is evaluated.
     """
+    target = ctx.reduce(target)
+    span = Span(ctx.basis_monomials_up_to(max(source_bound, target.degree())))
     if span.contains(target):
         return 0
     for bound, group in groupby(sources, key=itemgetter(0)):
@@ -328,8 +342,7 @@ def verify_thm2(orbit: OrbitDescriptor, max_bound: int) -> VerificationReport:
     )
     # The sources of each lower bound are those tagged with at most that bound.
     sources = list(_bracket_sources(ctx, max_bound))
-    one = ctx.reduce(Polynomial.constant(ctx.nvars, 1))
-    entry = _entry_bound(Span(ctx.basis_monomials_up_to(max_bound)), sources, one)
+    entry = _entry_bound(ctx, Polynomial.constant(ctx.nvars, 1), sources, max_bound)
     for bound in range(max_bound + 1):
         member = entry is not None and entry <= bound
         verdict = Membership.IN_SPAN if member else Membership.NOT_IN_SPAN_AT_BOUND
@@ -391,51 +404,28 @@ def verify_heisenberg(orbit: OrbitDescriptor, bound: int = 2) -> VerificationRep
     return report
 
 
-class ClosureResult:
-    """Fixed point of the bounded Poisson-ideal closure moves.
-
-    ``span`` is the closed subspace over the monomials up to the bound.
-    ``elements`` records a spanning set with provenance strings showing how
-    each element was produced from the generators (multiplication by a
-    generator or bracket with a generator), so every member of the span is
-    a word in the closure moves by construction.
-    """
-
-    def __init__(
-        self,
-        degree_bound: int,
-        span: Span,
-        contains_one: bool,
-        proper_at_bound: bool,
-        elements: list[tuple[str, Polynomial]],
-    ):
-        self.degree_bound = degree_bound
-        self.span = span
-        self.contains_one = contains_one
-        self.proper_at_bound = proper_at_bound
-        self.elements = elements
-
-    def contains(self, p: Polynomial) -> bool:
-        return self.span.contains(p)
-
-    def is_graded(self) -> bool:
-        """Whether the span is a direct sum of its degree components, that is,
-        whether every degree component of every (spanning) element lies in it."""
-        return all(
-            self.contains(e.graded_component(d))
-            for _, e in self.elements
-            for d in {monomial_degree(m) for m in e.num}
-        )
+def _reduced_generators(
+    ctx: PoissonContext, generators: Sequence[Polynomial], degree_bound: int
+) -> list[Polynomial]:
+    """The generators in normal form, each nonzero and of degree at most the bound."""
+    if not generators:
+        raise ValueError("at least one generator is required")
+    gens = [ctx.reduce(g) for g in generators]
+    for g, r in zip(generators, gens):
+        if not r:
+            raise ValueError(f"generator {ctx.format(g)} is zero in the context")
+        if r.degree() > degree_bound:
+            raise ValueError(f"generator {ctx.format(r)} of degree {r.degree()} exceeds the bound {degree_bound}")
+    return gens
 
 
-def poisson_ideal_closure(
-    ctx: PoissonContext,
-    generators: Sequence[Polynomial],
-    degree_bound: int,
-) -> ClosureResult:
-    """Smallest bounded subspace containing the generators and closed under
-    multiplication by a generator variable (when the product degree stays
-    within the bound) and bracketing with a generator variable.
+def poisson_ideal_closure(ctx: PoissonContext, generators: Sequence[Polynomial], degree_bound: int) -> Span:
+    """The span, over the monomials up to the bound, of the smallest subspace
+    that contains the generators and is closed under multiplication by a
+    generator variable (when the product degree stays within the bound) and
+    bracketing with a generator variable.  Callers read its verdicts from
+    the span: ``contains`` of 1, ``rank`` against ``len(monomials)``, and
+    ``is_graded()``.
 
     By the product rule these moves exhaust Poisson-ideal closure at the
     bound.  The moves are linear, so one pass that applies them to every
@@ -443,43 +433,24 @@ def poisson_ideal_closure(
     element's images in the span: the span is closed once the pass ends.
     Ranks are capped by the ambient dimension, so this terminates.
     """
-    if not generators:
-        raise ValueError("closure requires at least one generator")
     span = Span(ctx.basis_monomials_up_to(degree_bound))
-    elements: list[tuple[str, Polynomial]] = []
-    for g in generators:
-        g = ctx.reduce(g)
-        if not g:
-            raise ValueError("closure generators must be nonzero in the context")
-        if g.degree() > degree_bound:
-            raise ValueError("closure generator degree exceeds the bound")
-        if span.insert(g):
-            elements.append((ctx.format(g), g))
-
-    # Provenance is rendered only for accepted moves.  The loop also visits
-    # the elements appended during it, and stops once the span is everything,
-    # when no later move can be accepted.
-    variables = [(name, ctx.variable(i)) for i, name in enumerate(ctx.algebra.names)]
-    for provenance, e in elements:
+    elements = [g for g in _reduced_generators(ctx, generators, degree_bound) if span.insert(g)]
+    # The loop also visits the elements appended during it, and stops once the
+    # span is everything, when no later move can be accepted.
+    variables = [ctx.variable(i) for i in range(ctx.nvars)]
+    for e in elements:
         if span.rank == len(span.monomials):
             break
-        multiply = e.degree() + 1 <= degree_bound
-        for name, gen in variables:
+        multiply = e.degree() < degree_bound
+        for gen in variables:
             if multiply:
                 p = ctx.reduce(gen * e)
                 if span.insert(p):
-                    elements.append((f"{name}*({provenance})", p))
+                    elements.append(p)
             p = ctx.bracket(gen, e)
             if span.insert(p):
-                elements.append((f"{{{name}, {provenance}}}", p))
-
-    return ClosureResult(
-        degree_bound=degree_bound,
-        span=span,
-        contains_one=span.contains(Polynomial.constant(ctx.nvars, 1)),
-        proper_at_bound=span.rank < len(span.monomials),
-        elements=elements,
-    )
+                elements.append(p)
+    return span
 
 
 def simplicity_probe(
@@ -497,6 +468,9 @@ def simplicity_probe(
     refutation, and is noted as such.
     """
     ctx = orbit.context
+    gens = _reduced_generators(ctx, trials, degree_bound)
+    if any(g.degree() == 0 for g in gens):
+        raise ValueError("probe generators must be nonconstant on the orbit")
     report = VerificationReport(
         "simplicity",
         {
@@ -504,35 +478,31 @@ def simplicity_probe(
             "relation": orbit.format(orbit.relation),
             "orbit_type": orbit.orbit_type.value,
             "degree_bound": degree_bound,
-            "generators": [orbit.format(ctx.reduce(t)) for t in trials],
+            "generators": [orbit.format(g) for g in gens],
         },
     )
-    results = []
-    for trial in trials:
-        reduced = ctx.reduce(trial)
-        if not reduced or reduced.degree() == 0:
-            raise ValueError("probe generators must be nonconstant and nonzero on the orbit")
-        closure = poisson_ideal_closure(ctx, [reduced], degree_bound)
-        results.append((reduced, closure))
-
+    one = Polynomial.constant(ctx.nvars, 1)
     kind = orbit.orbit_type
-    for reduced, closure in results:
+    found = False
+    for g in gens:
+        span = poisson_ideal_closure(ctx, [g], degree_bound)
+        contains_one, proper = span.contains(one), span.rank < len(span.monomials)
+        found = found or proper
         record = {
-            "generator": orbit.format(reduced),
-            "contains_one": closure.contains_one,
-            "proper": closure.proper_at_bound,
-            "rank": closure.span.rank,
-            "dimension": len(closure.span.monomials),
+            "generator": orbit.format(g),
+            "contains_one": contains_one,
+            "proper": proper,
+            "rank": span.rank,
+            "dimension": len(span.monomials),
         }
         if kind is OrbitType.SEMISIMPLE:
-            record["verdict"] = "pass" if closure.contains_one else "fail"
-            if not closure.contains_one:
+            record["verdict"] = "pass" if contains_one else "fail"
+            if not contains_one:
                 record["witness"] = "closure did not reach 1 at this bound (inconclusive)"
         else:
             record["verdict"] = "pass"
         report.records.append(record)
     if kind is OrbitType.NILPOTENT:
-        found = any(closure.proper_at_bound for _, closure in results)
         report.records.append(
             {
                 "check": "exists_proper_closure",
@@ -589,21 +559,22 @@ def verify_homogeneous_ideals(orbit: OrbitDescriptor, k: int, degree_bound: int)
 
     gens = [p for d in range(k, degree_bound + 1) for p in monomials[d]]
     initial_rank = len(gens)
-    closure = poisson_ideal_closure(ctx, gens, degree_bound)
-    stable = closure.span.rank == initial_rank
-    graded = closure.is_graded()
-    ok = stable and graded and not closure.contains_one and closure.proper_at_bound
+    span = poisson_ideal_closure(ctx, gens, degree_bound)
+    contains_one = span.contains(Polynomial.constant(ctx.nvars, 1))
+    proper = span.rank < len(span.monomials)
+    graded = span.is_graded()
+    ok = span.rank == initial_rank and graded and not contains_one and proper
     report.records.append(
         {
             "check": "ideal",
             "k": k,
             "dims": {
-                "ambient": len(closure.span.monomials),
+                "ambient": len(span.monomials),
                 "initial": initial_rank,
-                "closed": closure.span.rank,
+                "closed": span.rank,
             },
-            "contains_one": closure.contains_one,
-            "proper": closure.proper_at_bound,
+            "contains_one": contains_one,
+            "proper": proper,
             "graded": graded,
             "verdict": "pass" if ok else "fail",
         }
@@ -621,14 +592,16 @@ def nonexactness_check(
     over the normal-form coefficients of f, g, h of degree <= d must be
     inconsistent.  All degrees come from one span of the brackets {x_i, m},
     grown in bound order: the system at d is feasible exactly when 1 enters
-    that span by bound d.
+    that span by bound d.  The relation may be any nonzero rational multiple
+    of the level-1 Casimir relation, since a multiple generates the same ideal.
     """
     algebra = orbit.algebra
     if algebra.name != "sl2r":
         raise ValueError("the non-exactness system is specific to sl2r")
     expected = builtin_casimir(algebra) - Polynomial.constant(algebra.dim, 1)
-    if orbit.relation != expected:
-        raise ValueError("the non-exactness system requires the hyperboloid relation (Casimir level 1)")
+    relation = orbit.relation
+    if relation * (expected.leading_term()[1] / relation.leading_term()[1]) != expected:
+        raise ValueError("the non-exactness system requires a multiple of the hyperboloid relation (Casimir level 1)")
     ctx = orbit.context
     report = VerificationReport(
         "nonexact",
@@ -641,8 +614,8 @@ def nonexactness_check(
     # The degree-d system's columns are {x_i, m} with deg m <= d; constants
     # bracket to zero and {x_i, x_j} = -{x_j, x_i}, so the sources of bound
     # d span them, and the system is feasible iff 1 enters by bound d.
-    span = Span(ctx.basis_monomials_up_to(degree_bound))
-    entry = _entry_bound(span, _bracket_sources(ctx, degree_bound), Polynomial.constant(ctx.nvars, 1))
+    one = Polynomial.constant(ctx.nvars, 1)
+    entry = _entry_bound(ctx, one, _bracket_sources(ctx, degree_bound), degree_bound)
     for d in range(degree_bound + 1):
         feasible = entry is not None and entry <= d
         report.records.append(
@@ -714,13 +687,7 @@ def ideal_square_check(
     when the ideal itself is bracket-closed at the bound (otherwise the
     containment argument that makes it a Lie ideal does not apply).
     """
-    if not generators:
-        raise ValueError("the ideal check requires at least one generator")
-    gens = [ctx.reduce(g) for g in generators]
-    if any(not g for g in gens):
-        raise ValueError("ideal generators must be nonzero in the context")
-    if any(g.degree() > degree_bound for g in gens):
-        raise ValueError("ideal generator degree exceeds the bound")
+    gens = _reduced_generators(ctx, generators, degree_bound)
     report = VerificationReport(
         "lemma",
         {

@@ -238,6 +238,17 @@ PINNED_REPORTS = [
      "3428a06be0c37f33ed141512fc58736e390883bf45c8b4e9a3670f359ab7cc43"),
     (["verify", "prop1", "--algebra", "heisenberg", "--n", "2", "--max-degree", "5"], EXIT_FAIL,
      "f224d0e6faea1c0f416079ce3ccc6aa04becc2d998a14a14800a225711d90a4a"),
+    (["verify", "thm2", "--algebra", "sl2r", "--casimir", "1", "--max-degree", "7"], EXIT_PASS,
+     "49a7c39b8767091b57429520e46364bba52f78de957e4676768486c4328a953b"),
+    (["verify", "heisenberg", "--n", "2", "--max-degree", "3"], EXIT_PASS,
+     "c258084b5e0360503281078cb16a248f35871a80c4a93fa33c5a454da7bcb61c"),
+    (["probe", "simplicity", "--algebra", "sl2r", "--casimir", "0", "--gen=x", "--gen=z^2", "--max-degree", "6"],
+     EXIT_PASS, "92cf3ccc3e356ee02a7fa64188302be2d4b428827872bd80f24d133b8a85f647"),
+    (["probe", "simplicity", "--algebra", "sl2r", "--casimir", "0", "--gen=x", "--orbit-type", "semisimple",
+      "--max-degree", "4"], EXIT_FAIL,
+     "2acbb32ee9dda6ddcc0778e7cec76e5bb8cba094c299bc28a19a3a90ce1c8f2a"),
+    (["verify", "lemma", "--algebra", "sl2r", "--casimir", "0", "--gen=x", "--gen=y", "--max-degree", "5"],
+     EXIT_PASS, "22093cd74892df1b20f23df26952581810bcb71708e33935f06d04ce6b1364e1"),
 ]
 
 
@@ -245,7 +256,8 @@ PINNED_REPORTS = [
     "args,status,digest",
     PINNED_REPORTS,
     ids=["nonexact-5", "nonexact-12", "prop1-sl2r-12", "prop1-heisenberg3-5", "lemma-sl2r-11",
-         "simplicity-sl2r-7", "nilpotent-sl2r-9", "nilpotent-sl2r-9-k2", "prop1-heisenberg2-5"],
+         "simplicity-sl2r-7", "nilpotent-sl2r-9", "nilpotent-sl2r-9-k2", "prop1-heisenberg2-5", "thm2-sl2r-7",
+         "heisenberg2-3", "simplicity-cone-6", "simplicity-cone-tagged-semisimple-4", "lemma-cone-5"],
 )
 def test_pinned_json_report_digests(capsys, args, status, digest):
     assert main([*args, "--json"]) == status
@@ -303,8 +315,11 @@ def test_orbit_type_and_gen_accepted_where_read():
         (["verify", "nilpotent-ideals", "--algebra", "sl2r", "--k", "3", "--max-degree", "2"],
          "k=3 exceeds the degree bound 2"),
         (["verify", "heisenberg", "--n", "1", "--max-degree", "0"], "--max-degree must be at least 1"),
+        (["probe", "simplicity", "--algebra", "sl2r", "--casimir", "1", "--gen", "x", "--max-degree", "0"],
+         "exceeds the bound"),
     ],
-    ids=["lemma-linear-0", "lemma-quadratic-1", "nilpotent-k1-0", "nilpotent-k3-2", "heisenberg-0"],
+    ids=["lemma-linear-0", "lemma-quadratic-1", "nilpotent-k1-0", "nilpotent-k3-2", "heisenberg-0",
+         "probe-linear-0"],
 )
 def test_bound_below_the_generators_is_a_usage_error(args, message):
     status, text = run(args)
@@ -339,6 +354,27 @@ def test_default_orbit_level_equals_explicit_casimir(args, level):
         assert argv == [*args, *extra]  # the default level is read, never written back
         assert default == run([*args, *extra, "--casimir", level])
         assert default[0] == EXIT_PASS
+
+
+@pytest.mark.parametrize(
+    "relation",
+    ["2*x^2+2*y^2-2*z^2-2", "-x^2-y^2+z^2+1", "1/3*x^2+1/3*y^2-1/3*z^2-1/3"],
+    ids=["times-2", "times-minus-1", "times-one-third"],
+)
+def test_nonexact_accepts_a_multiple_of_the_hyperboloid_relation(relation):
+    base = ["verify", "nonexact", "--algebra", "sl2r", "--max-degree", "3", "--json"]
+    status, text = run([*base, f"--relation={relation}"])
+    assert status == EXIT_PASS
+    expected_status, expected = run([*base, "--casimir", "1"])
+    assert expected_status == EXIT_PASS
+    assert json.loads(text)["records"] == json.loads(expected)["records"]
+
+
+@pytest.mark.parametrize("level", ["0", "2"])
+def test_nonexact_rejects_other_casimir_levels(level):
+    status, text = run(["verify", "nonexact", "--algebra", "sl2r", "--casimir", level, "--max-degree", "2"])
+    assert status == EXIT_USAGE
+    assert "hyperboloid relation" in text
 
 
 def test_exit_status_matches_report_verdict():

@@ -375,21 +375,18 @@ def test_verify_heisenberg_rejects_bound_0():
 def test_closure_reaches_one_on_the_hyperboloid():
     orbit = casimir_orbit(SL2R, 1)
     closure = poisson_ideal_closure(orbit.context, [SL2R.variable(2)], 3)
-    assert closure.contains_one
-    assert not closure.proper_at_bound
-    produced = {orbit.format(e) for _, e in closure.elements}
-    assert "-y" in produced and "x" in produced  # picked up via brackets with z
-    assert len(closure.elements) == closure.span.rank
+    assert closure.contains(Polynomial.constant(3, 1))
+    assert closure.rank == len(closure.monomials)
+    assert closure.contains(sl2("y")) and closure.contains(sl2("x"))  # picked up via brackets with z
 
 
 def test_closure_on_the_cone_is_the_positive_degree_subspace():
     orbit = casimir_orbit(SL2R, 0)
     closure = poisson_ideal_closure(orbit.context, [SL2R.variable(2)], 5)
-    assert not closure.contains_one
-    assert closure.proper_at_bound
-    assert closure.span.rank == len(closure.span.monomials) - 1
-    assert (0, 0, 0) in closure.span.monomials
-    assert all((0, 0, 0) not in p.terms for p in closure.span.basis())
+    assert not closure.contains(Polynomial.constant(3, 1))
+    assert closure.rank == len(closure.monomials) - 1
+    assert (0, 0, 0) in closure.monomials
+    assert all((0, 0, 0) not in p.terms for p in closure.basis())
     assert closure.is_graded()
 
 
@@ -397,12 +394,55 @@ def test_closure_of_shifted_casimir_is_its_multiples():
     q = sl2("x^2 + y^2 - z^2")
     closure = poisson_ideal_closure(FREE_SL2R, [q - 1], 4)
     # multiples m*(q-1) with deg m <= 2: exactly the 10 monomial multipliers
-    assert closure.span.rank == 10
+    assert closure.rank == 10
     assert closure.contains(q - 1)
     assert closure.contains((q - 1) * sl2("x"))
-    assert not closure.contains_one
-    assert closure.proper_at_bound
+    assert not closure.contains(Polynomial.constant(3, 1))
+    assert closure.rank < len(closure.monomials)
     assert not closure.is_graded()
+
+
+def _oracle_is_graded(span):
+    """dim V == sum over d of dim pi_d(V), on dense rows of a spanning set."""
+    index = {m: i for i, m in enumerate(span.monomials)}
+
+    def rows(polys):
+        out = []
+        for p in polys:
+            row = [Fraction(0)] * len(index)
+            for m, c in p.terms.items():
+                row[index[m]] = c
+            out.append(row)
+        return out
+
+    spanning = span.basis()
+    degrees = {sum(m) for m in span.monomials}
+    components = sum(rref_rank(rows([p.graded_component(d) for p in spanning])) for d in degrees)
+    return rref_rank(rows(spanning)) == components
+
+
+def _span_of(polys, bound):
+    span = Span(FREE_SL2R.basis_monomials_up_to(bound))
+    for p in polys:
+        span.insert(p)
+    return span
+
+
+@pytest.mark.parametrize(
+    "build,graded",
+    [
+        (lambda: _span_of([sl2("x + y^2"), sl2("y^2")], 2), True),
+        (lambda: _span_of([sl2("x + y^2")], 2), False),
+        (lambda: _span_of([], 2), True),
+        (lambda: poisson_ideal_closure(casimir_orbit(SL2R, 0).context, [SL2R.variable(2)], 5), True),
+        (lambda: poisson_ideal_closure(FREE_SL2R, [sl2("x^2 + y^2 - z^2 - 1")], 4), False),
+    ],
+    ids=["x+y2-and-y2", "x+y2", "empty", "cone-closure-z-5", "shifted-casimir-4"],
+)
+def test_span_is_graded_matches_the_component_rank_oracle(build, graded):
+    span = build()
+    assert span.is_graded() is graded
+    assert _oracle_is_graded(span) is graded
 
 
 def _cone_ideal_closure(bound):
@@ -421,7 +461,7 @@ def _probe_closure(bound):
 def test_closure_is_closed_under_every_move(build):
     bound = 5
     ctx, closure = build(bound)
-    for _, e in closure.elements:
+    for e in closure.basis():
         for i in range(3):
             gen = SL2R.variable(i)
             assert closure.contains(ctx.bracket(gen, e))
@@ -490,12 +530,14 @@ def test_bracket_closure_witness_names_the_failing_bracket():
 
 
 def test_closure_input_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one generator"):
         poisson_ideal_closure(FREE_SL2R, [], 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="generator 0 is zero"):
         poisson_ideal_closure(FREE_SL2R, [Polynomial.zero(3)], 3)
+    with pytest.raises(ValueError, match=r"generator x\^2 of degree 2 exceeds the bound 1"):
+        poisson_ideal_closure(FREE_SL2R, [sl2("x^2")], 1)
     orbit = casimir_orbit(SL2R, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is zero in the context"):
         poisson_ideal_closure(orbit.context, [orbit.relation], 3)  # reduces to zero
 
 
