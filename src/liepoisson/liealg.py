@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from typing import Mapping
 
-from .linalg import Matrix, RowBasis
+from .linalg import RowBasis
 from .poly import Polynomial
 
 
@@ -140,25 +141,24 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
             report.violations.append(
                 Violation("antisymmetry", (lo, hi, k), f"c({lo},{hi},{k}) + c({hi},{lo},{k}) = {s}")
             )
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                for l in range(d):
-                    s = Fraction(0)
-                    for m in range(d):
-                        s += (
-                            algebra.c(i, j, m) * algebra.c(m, k, l)
-                            + algebra.c(j, k, m) * algebra.c(m, i, l)
-                            + algebra.c(k, i, m) * algebra.c(m, j, l)
-                        )
-                    if s:
-                        report.violations.append(
-                            Violation("jacobi", (i, j, k, l), f"Jacobi sum at ({i},{j},{k}) in coordinate {l} is {s}")
-                        )
+    brackets: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    for (i, j, m), c in algebra.structure.items():
+        brackets.setdefault((i, j), []).append((m, c))
+    for i, j, k in combinations(range(d), 3):
+        sums: dict[int, Fraction] = {}
+        for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, c in brackets.get((a, b), ()):
+                for l, c2 in brackets.get((m, e), ()):
+                    sums[l] = sums.get(l, 0) + c * c2
+        for l, s in sorted(sums.items()):
+            if s:
+                report.violations.append(
+                    Violation("jacobi", (i, j, k, l), f"Jacobi sum at ({i},{j},{k}) in coordinate {l} is {s}")
+                )
     return report
 
 
-def killing_form(algebra: LieAlgebra) -> Matrix:
+def killing_form(algebra: LieAlgebra) -> list[list[Fraction]]:
     """Killing matrix B[i][j] = trace(ad xi_i composed with ad xi_j)."""
     d = algebra.dim
     b = [[Fraction(0)] * d for _ in range(d)]

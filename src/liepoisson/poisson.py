@@ -28,7 +28,7 @@ from operator import add
 from typing import TYPE_CHECKING
 
 from .liealg import LieAlgebra
-from .poly import Monomial, Polynomial, format_polynomial, monomials_of_degree
+from .poly import Monomial, Polynomial, format_polynomial, monomials_of_degree, parse_polynomial
 
 if TYPE_CHECKING:  # pragma: no cover
     from .orbit import OrbitIdeal
@@ -92,8 +92,6 @@ class PoissonContext:
         return self.algebra.variable(i)
 
     def parse(self, text: str) -> Polynomial:
-        from .poly import parse_polynomial
-
         return parse_polynomial(text, self.algebra.names)
 
     def format(self, p: Polynomial) -> str:

@@ -31,6 +31,7 @@ stack, so its depth is not bounded by Python's recursion limit.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
@@ -374,125 +375,73 @@ class PolynomialSyntaxError(ValueError):
         self.position = position
 
 
-class _Parser:
-    """Recursive-descent parser for the polynomial expression grammar.
+# An integer (a run of decimal digits), a word, or any other non-space
+# character; a word that starts with a letter or '_' is a name.
+_TOKEN = re.compile(r"\d+|\w+|\S")
+
+
+def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
+    """Parse polynomial text over the given variable names.
 
     poly   := [sign] term (sign term)*
     term   := factor ('*' factor)*
     factor := integer ['/' integer] | name ['^' integer]
 
-    Whitespace is insignificant; exponents are non-negative integers.
+    An integer is a run of decimal digits, and a name is a letter or '_'
+    followed by letters, digits or '_'.  Whitespace between tokens is
+    insignificant; exponents are non-negative integers.  Malformed text
+    raises PolynomialSyntaxError at the offending position.
     """
-
-    def __init__(self, text: str, names: Sequence[str]):
-        self.text = text
-        self.pos = 0
-        self.names = list(names)
-        self.index = {name: i for i, name in enumerate(names)}
-
-    def error(self, message: str, pos: int | None = None) -> PolynomialSyntaxError:
-        return PolynomialSyntaxError(message, self.pos if pos is None else pos)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take_integer(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected an integer", start)
-        return int(self.text[start:self.pos])
-
-    def take_name(self) -> str:
-        start = self.pos
-        ch = self.peek()
-        if not (ch.isalpha() or ch == "_"):
-            raise self.error("expected a variable name", start)
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def parse_factor(self) -> tuple[Fraction, list[int]]:
-        ch = self.peek()
-        if ch.isdigit():
-            num = self.take_integer()
-            self.skip_ws()
-            if self.peek() == "/":
-                self.pos += 1
-                self.skip_ws()
-                den_pos = self.pos
-                den = self.take_integer()
-                if den == 0:
-                    raise self.error("zero denominator", den_pos)
-                return Fraction(num, den), [0] * len(self.names)
-            return Fraction(num), [0] * len(self.names)
-        if ch.isalpha() or ch == "_":
-            name_pos = self.pos
-            name = self.take_name()
-            if name not in self.index:
-                raise self.error(f"unknown variable '{name}'", name_pos)
-            exp = 1
-            self.skip_ws()
-            if self.peek() == "^":
-                self.pos += 1
-                self.skip_ws()
-                exp = self.take_integer()
-            exps = [0] * len(self.names)
-            exps[self.index[name]] = exp
-            return Fraction(1), exps
-        raise self.error("expected a number or a variable")
-
-    def parse_term(self) -> tuple[Fraction, Monomial]:
-        coeff, exps = self.parse_factor()
-        self.skip_ws()
-        while self.peek() == "*":
-            self.pos += 1
-            self.skip_ws()
-            c, e = self.parse_factor()
-            coeff *= c
-            exps = [a + b for a, b in zip(exps, e)]
-            self.skip_ws()
-        return coeff, tuple(exps)
-
-    def parse(self) -> Polynomial:
-        nvars = len(self.names)
-        acc = Polynomial.zero(nvars)
-        self.skip_ws()
-        if self.pos == len(self.text):
-            raise self.error("empty expression")
-        sign = Fraction(1)
-        if self.peek() in "+-":
-            if self.peek() == "-":
-                sign = Fraction(-1)
-            self.pos += 1
-            self.skip_ws()
-        while True:
-            coeff, m = self.parse_term()
-            acc = acc + Polynomial.monomial(nvars, m, sign * coeff)
-            self.skip_ws()
-            if self.pos == len(self.text):
-                return acc
-            ch = self.peek()
-            if ch == "+":
-                sign = Fraction(1)
-            elif ch == "-":
-                sign = Fraction(-1)
-            else:
-                raise self.error(f"unexpected character '{ch}'")
-            self.pos += 1
-            self.skip_ws()
-
-
-def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
-    """Parse polynomial text over the given variable names."""
     if len(set(names)) != len(names):
         raise ValueError("variable names must be distinct")
-    return _Parser(text, names).parse()
+    index = {name: i for i, name in enumerate(names)}
+    # (position, token) pairs; the empty token marks the end of the text.
+    tokens = [(m.start(), m.group()) for m in _TOKEN.finditer(text)] + [(len(text), "")]
+    if tokens[0][1] == "":
+        raise PolynomialSyntaxError("empty expression", len(text))
+
+    def integer(k: int) -> tuple[int, int]:
+        pos, tok = tokens[k]
+        if not tok.isdecimal():
+            raise PolynomialSyntaxError("expected an integer", pos)
+        return pos, int(tok)
+
+    nvars = len(names)
+    acc = Polynomial.zero(nvars)
+    k = 1 if tokens[0][1] in ("+", "-") else 0
+    sign = -1 if tokens[0][1] == "-" else 1
+    coeff, exps = Fraction(1), [0] * nvars
+    while True:
+        pos, tok = tokens[k]
+        if tok.isdecimal():
+            num, den = int(tok), 1
+            if tokens[k + 1][1] == "/":
+                den_pos, den = integer(k + 2)
+                if den == 0:
+                    raise PolynomialSyntaxError("zero denominator", den_pos)
+                k += 2
+            coeff *= Fraction(num, den)
+        elif tok[:1].isalpha() or tok[:1] == "_":
+            if tok not in index:
+                raise PolynomialSyntaxError(f"unknown variable '{tok}'", pos)
+            exp = 1
+            if tokens[k + 1][1] == "^":
+                exp = integer(k + 2)[1]
+                k += 2
+            exps[index[tok]] += exp
+        else:
+            raise PolynomialSyntaxError("expected a number or a variable", pos)
+        pos, tok = tokens[k + 1]
+        k += 2
+        if tok == "*":
+            continue
+        acc = acc + Polynomial.monomial(nvars, tuple(exps), sign * coeff)
+        if tok == "":
+            return acc
+        if tok not in ("+", "-"):
+            raise PolynomialSyntaxError(f"unexpected character '{tok[0]}'", pos)
+        sign = -1 if tok == "-" else 1
+        coeff, exps = Fraction(1), [0] * nvars
 
 
 def format_polynomial(p: Polynomial, names: Sequence[str]) -> str:

@@ -312,6 +312,14 @@ def verify_prop1(algebra: LieAlgebra, max_degree: int) -> VerificationReport:
     return report
 
 
+def _orbit_report(claim: str, orbit: OrbitDescriptor, **params) -> VerificationReport:
+    """An empty report whose params name the orbit's algebra and relation,
+    then ``params`` in the order given."""
+    return VerificationReport(
+        claim, {"algebra": orbit.algebra.name or "user", "relation": orbit.format(orbit.relation), **params}
+    )
+
+
 # Highest degree whose normal-form monomials verify_thm2 checks one by one.
 MONOMIAL_DEGREE_CAP = 3
 
@@ -330,15 +338,12 @@ def verify_thm2(orbit: OrbitDescriptor, max_bound: int) -> VerificationReport:
     """
     ctx = orbit.context
     monomial_degree_cap = min(MONOMIAL_DEGREE_CAP, max_bound)
-    report = VerificationReport(
+    report = _orbit_report(
         "thm2",
-        {
-            "algebra": orbit.algebra.name or "user",
-            "relation": orbit.format(orbit.relation),
-            "orbit_type": orbit.orbit_type.value,
-            "max_bound": max_bound,
-            "monomial_degree_cap": monomial_degree_cap,
-        },
+        orbit,
+        orbit_type=orbit.orbit_type.value,
+        max_bound=max_bound,
+        monomial_degree_cap=monomial_degree_cap,
     )
     # The sources of each lower bound are those tagged with at most that bound.
     sources = list(_bracket_sources(ctx, max_bound))
@@ -385,14 +390,7 @@ def verify_heisenberg(orbit: OrbitDescriptor, bound: int = 2) -> VerificationRep
     ctx = orbit.context
     one = Polynomial.constant(ctx.nvars, 1)
     verdict = derived_membership(ctx, one, bound)
-    report = VerificationReport(
-        "heisenberg",
-        {
-            "algebra": orbit.algebra.name or "user",
-            "relation": orbit.format(orbit.relation),
-            "bound": bound,
-        },
-    )
+    report = _orbit_report("heisenberg", orbit, bound=bound)
     report.records.append(
         {
             "check": "constants",
@@ -471,15 +469,12 @@ def simplicity_probe(
     gens = _reduced_generators(ctx, trials, degree_bound)
     if any(g.degree() == 0 for g in gens):
         raise ValueError("probe generators must be nonconstant on the orbit")
-    report = VerificationReport(
+    report = _orbit_report(
         "simplicity",
-        {
-            "algebra": orbit.algebra.name or "user",
-            "relation": orbit.format(orbit.relation),
-            "orbit_type": orbit.orbit_type.value,
-            "degree_bound": degree_bound,
-            "generators": [orbit.format(g) for g in gens],
-        },
+        orbit,
+        orbit_type=orbit.orbit_type.value,
+        degree_bound=degree_bound,
+        generators=[orbit.format(g) for g in gens],
     )
     one = Polynomial.constant(ctx.nvars, 1)
     kind = orbit.orbit_type
@@ -530,15 +525,7 @@ def verify_homogeneous_ideals(orbit: OrbitDescriptor, k: int, degree_bound: int)
     if not orbit.ideal.is_homogeneous:
         raise ValueError("orbit relation is not homogeneous; the quotient is not graded")
     ctx = orbit.context
-    report = VerificationReport(
-        "nilpotent-ideals",
-        {
-            "algebra": orbit.algebra.name or "user",
-            "relation": orbit.format(orbit.relation),
-            "k": k,
-            "degree_bound": degree_bound,
-        },
-    )
+    report = _orbit_report("nilpotent-ideals", orbit, k=k, degree_bound=degree_bound)
 
     monomials = {
         d: [Polynomial.monomial(ctx.nvars, m) for m in ctx.basis_monomials(d)]
@@ -603,14 +590,7 @@ def nonexactness_check(
     if relation * (expected.leading_term()[1] / relation.leading_term()[1]) != expected:
         raise ValueError("the non-exactness system requires a multiple of the hyperboloid relation (Casimir level 1)")
     ctx = orbit.context
-    report = VerificationReport(
-        "nonexact",
-        {
-            "algebra": algebra.name,
-            "relation": orbit.format(orbit.relation),
-            "max_coefficient_degree": degree_bound,
-        },
-    )
+    report = _orbit_report("nonexact", orbit, max_coefficient_degree=degree_bound)
     # The degree-d system's columns are {x_i, m} with deg m <= d; constants
     # bracket to zero and {x_i, x_j} = -{x_j, x_i}, so the sources of bound
     # d span them, and the system is feasible iff 1 enters by bound d.

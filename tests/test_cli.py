@@ -87,6 +87,25 @@ def test_validate_builtin_and_file(tmp_path):
     assert status == EXIT_PASS
 
 
+def test_validate_reports_a_jacobi_violation(tmp_path):
+    # [a, b] = b and [b, c] = c: the Jacobi sum at (a, b, c) is c.
+    path = tmp_path / "not_lie.json"
+    path.write_text(json.dumps({
+        "dim": 3,
+        "basis": ["a", "b", "c"],
+        "brackets": [
+            {"i": "a", "j": "b", "terms": [{"k": "b", "coeff": "1"}]},
+            {"i": "b", "j": "c", "terms": [{"k": "c", "coeff": "1"}]},
+        ],
+    }))
+    status, text = run(["validate", "--algebra", str(path), "--json"])
+    assert status == EXIT_FAIL
+    records = json.loads(text)["records"]
+    assert records[0] == {"check": "jacobi", "indices": [0, 1, 2, 2],
+                          "detail": "Jacobi sum at (0,1,2) in coordinate 2 is 1", "verdict": "fail"}
+    assert records[-1] == {"check": "axioms", "violations": 1, "verdict": "fail"}
+
+
 @pytest.mark.parametrize("algebra", ["sl2r", "so3", "file"])
 def test_size_flag_rejected_for_non_heisenberg_algebras(algebra, tmp_path):
     if algebra == "file":
@@ -107,21 +126,29 @@ def test_unparseable_algebra_file_is_a_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "body",
+    "body,message",
     [
-        '{"dim":1,"basis":["x"],"brackets":[1]}',
-        '{"dim":2,"basis":["x","y"],"brackets":{"i":"x"}}',
-        '{"dim":1,"basis":["x"],"brackets":[{"i":"x","j":"x","terms":[5]}]}',
-        '{"dim":2,"basis":["x","y"],"brackets":[{"i":["x"],"j":"y"}]}',
-        '{"dim":2,"basis":["x","y"],"brackets":[{"i":"x","j":"y","terms":5}]}',
+        ('{"dim":1,"basis":["x"],"brackets":[1]}', "each bracket must be an object"),
+        ('{"dim":2,"basis":["x","y"],"brackets":{"i":"x"}}', "'brackets' must be a list"),
+        ('{"dim":1,"basis":["x"],"brackets":[{"i":"x","j":"x","terms":[5]}]}', "each bracket term must be an object"),
+        ('{"dim":2,"basis":["x","y"],"brackets":[{"i":["x"],"j":"y"}]}', "bracket key 'i' must be a basis name"),
+        ('{"dim":2,"basis":["x","y"],"brackets":[{"i":"x","j":"y","terms":5}]}', "a bracket's 'terms' must be a list"),
+        ('["x"]', "algebra definition must be a JSON object"),
+        ('{"basis":["x"]}', "missing required key 'dim'"),
+        ('{"dim":1,"basis":"x"}', "'basis' must be a list of names"),
+        ('{"dim":2,"basis":["x","x"]}', "basis names must be distinct"),
+        ('{"dim":2,"basis":["x","y"],"brackets":[{"i":"x","j":"y"},{"i":"x","j":"y"}]}',
+         "bracket (x, y) defined twice"),
     ],
-    ids=["entry-not-object", "brackets-not-list", "term-not-object", "name-not-string", "terms-not-list"],
+    ids=["entry-not-object", "brackets-not-list", "term-not-object", "name-not-string", "terms-not-list",
+         "definition-not-object", "dim-missing", "basis-not-list", "basis-names-repeat", "bracket-defined-twice"],
 )
-def test_malformed_algebra_file_is_a_usage_error(body, tmp_path, capsys):
+def test_malformed_algebra_file_is_a_usage_error(body, message, tmp_path, capsys):
     path = tmp_path / "malformed.json"
     path.write_text(body)
     assert main(["validate", "--algebra", str(path)]) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 def test_unclosed_relation_is_a_usage_error():
@@ -157,8 +184,13 @@ def test_unknown_algebra_is_a_usage_error():
         (["verify", "thm2", "--algebra", "sl2r", "--casimir", "1", "--relation", "z", "--max-degree", "2"],
          "--casimir"),
         (["verify", "prop1", "--algebra", "sl2r", "--max-degree", "-1"], "--max-degree"),
+        (["verify", "prop1", "--algebra", "sl2r", "--max-degree", "abc"], "--max-degree"),
+        (["verify", "thm2", "--algebra", "sl2r", "--casimir", "abc"], "--casimir"),
+        (["verify", "thm2", "--algebra", "sl2r", "--casimir", "1/0"], "--casimir"),
+        (["verify", "lemma", "--algebra", "sl2r", "--max-degree", "2"], "--gen"),
     ],
-    ids=["conflicting-orbit-flags", "negative-max-degree"],
+    ids=["conflicting-orbit-flags", "negative-max-degree", "non-integer-max-degree", "non-rational-casimir",
+         "zero-denominator-casimir", "lemma-without-generators"],
 )
 def test_invalid_flag_values_are_usage_errors(args, flag):
     status, text = run(args)

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liepoisson.poly import (
@@ -208,6 +208,39 @@ def test_parse_rejects_trailing_junk():
 def test_parse_rejects_zero_denominator():
     with pytest.raises(PolynomialSyntaxError):
         p("1/0*x")
+
+
+@pytest.mark.parametrize(
+    "text,message,position",
+    [
+        ("  ", "empty expression", 2),
+        ("x + $", "expected a number or a variable", 4),
+        ("x -", "expected a number or a variable", 3),
+        ("1/ y", "expected an integer", 3),
+        ("x ^ *", "expected an integer", 4),
+        ("3*x^\u00b2", "expected an integer", 4),
+        ("1/0*x", "zero denominator", 2),
+        ("x + w^2", "unknown variable 'w'", 4),
+        ("x + y )", "unexpected character ')'", 6),
+        ("2 x", "unexpected character 'x'", 2),
+    ],
+)
+def test_parse_error_message_and_position(text, message, position):
+    with pytest.raises(PolynomialSyntaxError) as err:
+        p(text)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+@given(st.text(st.sampled_from("xyzw_0123456789/^*+-$ \t\u00b2\u00e9") | st.characters(), max_size=16))
+@example("x^\u00b2")
+@example("\u00b2*x")
+@settings(deadline=None, max_examples=300)
+def test_parse_accepts_or_raises_a_positioned_syntax_error(text):
+    try:
+        p(text)
+    except PolynomialSyntaxError as err:
+        assert 0 <= err.position <= len(text)
 
 
 def test_format_descending_graded_lex():

@@ -587,6 +587,19 @@ def test_homogeneous_ideals_on_the_cone():
     assert ideal["proper"] and ideal["graded"] and not ideal["contains_one"]
 
 
+def test_homogeneous_ideals_name_a_bracket_of_the_wrong_degree(monkeypatch):
+    # The real bracket lowers degree by one, so this branch needs a wrong one:
+    # every bracket is x, whose degree is right only for two linear operands.
+    cone = casimir_orbit(SL2R, 0)
+    monkeypatch.setattr(PoissonContext, "bracket", lambda self, f, g: self.variable(0))
+    report = verify_homogeneous_ideals(cone, 1, 2)
+    grading = [r for r in report.records if r["check"] == "bracket_grading"]
+    assert grading[0] == {"check": "bracket_grading", "degrees": [1, 1], "verdict": "pass"}
+    assert grading[1] == {"check": "bracket_grading", "degrees": [1, 2], "verdict": "fail",
+                          "witness": "{z, y*z} = x"}
+    assert report.verdict == "fail"
+
+
 def test_homogeneous_ideals_rejects_bad_inputs():
     cone = casimir_orbit(SL2R, 0)
     with pytest.raises(ValueError):
@@ -668,6 +681,18 @@ def test_ideal_square_positive_degree_ideal_on_cone():
     assert dims == {"ambient": 25, "ideal": 24, "square": 21}
     closure = [r for r in report.records if r["check"] == "bracket_closure"][0]
     assert closure["ideal_closed"] and closure["square_closed"]
+
+
+def test_ideal_square_names_a_bracket_that_leaves_the_square(monkeypatch):
+    # No small real ideal was found that is bracket-closed at the bound while
+    # its square is not, so every bracket is made x: it stays in (x) and
+    # leaves (x^2).
+    monkeypatch.setattr(PoissonContext, "bracket", lambda self, f, g: self.variable(0))
+    report = ideal_square_check(FREE_SL2R, [sl2("x")], 2)
+    closure = [r for r in report.records if r["check"] == "bracket_closure"][0]
+    assert closure == {"check": "bracket_closure", "ideal_closed": True, "square_closed": False,
+                       "required": True, "verdict": "fail", "witness": "{x, 1*(x^2)}"}
+    assert report.verdict == "fail"
 
 
 def test_ideal_square_shifted_casimir():
