@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 from typing import Mapping
 
 from .linalg import RowBasis
-from .poly import Polynomial
+from .poly import Polynomial, is_name
 
 
 class LieAlgebraFormatError(ValueError):
@@ -30,8 +29,10 @@ class LieAlgebra:
     """A finite-dimensional algebra given by basis names and bracket constants.
 
     ``structure`` maps index triples (i, j, k) to the coefficient of xi_k in
-    [xi_i, xi_j]; absent triples are zero.  The table is stored as given, so
-    ``validate`` can report antisymmetry violations of raw input.
+    [xi_i, xi_j]; absent triples are zero.  ``brackets[(i, j)] = {k: c}``
+    groups the same nonzero constants by ordered pair.  Both are built once,
+    in sorted (i, j, k) order, from the table as given, so ``validate`` can
+    report antisymmetry violations of raw input.
     """
 
     def __init__(
@@ -44,6 +45,9 @@ class LieAlgebra:
         self.name = name
         if len(set(self.names)) != len(self.names):
             raise LieAlgebraFormatError("basis names must be distinct")
+        bad = next((b for b in self.names if not is_name(b)), None)
+        if bad is not None:  # a name that the expression grammar cannot read back
+            raise LieAlgebraFormatError(f"basis name {bad!r} is not a letter or '_' followed by letters, digits or '_'")
         d = len(self.names)
         clean: dict[tuple[int, int, int], Fraction] = {}
         for (i, j, k), c in structure.items():
@@ -52,14 +56,14 @@ class LieAlgebra:
             c = Fraction(c)
             if c:
                 clean[(i, j, k)] = c
-        self.structure = clean
+        self.structure = dict(sorted(clean.items()))
+        self.brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for (i, j, k), c in self.structure.items():
+            self.brackets.setdefault((i, j), {})[k] = c
 
     @property
     def dim(self) -> int:
         return len(self.names)
-
-    def c(self, i: int, j: int, k: int) -> Fraction:
-        return self.structure.get((i, j, k), Fraction(0))
 
     def variable(self, i: int) -> Polynomial:
         return Polynomial.variable(self.dim, i)
@@ -121,57 +125,46 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
 
     Every violated instance is reported: antisymmetry at (i, j, k) whenever
     c(i,j,k) + c(j,i,k) is nonzero (including nonzero diagonal brackets),
-    and Jacobi at (i, j, k, l) for strictly increasing i < j < k.
+    and Jacobi at (i, j, k, l) for strictly increasing i < j < k.  Only
+    triples with a nonzero bracket among their pairs are visited.
     """
     report = ValidationReport()
-    d = algebra.dim
-    checked: set[tuple[int, int, int]] = set()
-    for (i, j, k) in sorted(algebra.structure):
-        lo, hi = min(i, j), max(i, j)
-        key = (lo, hi, k)
-        if key in checked:
-            continue
-        checked.add(key)
-        s = algebra.c(lo, hi, k) + algebra.c(hi, lo, k)
-        if i == j:
-            report.violations.append(
-                Violation("antisymmetry", (i, j, k), f"c({i},{i},{k}) = {algebra.c(i, i, k)} is nonzero")
-            )
-        elif s:
-            report.violations.append(
-                Violation("antisymmetry", (lo, hi, k), f"c({lo},{hi},{k}) + c({hi},{lo},{k}) = {s}")
-            )
-    brackets: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for (i, j, m), c in algebra.structure.items():
-        brackets.setdefault((i, j), []).append((m, c))
-    for i, j, k in combinations(range(d), 3):
+    brackets = algebra.brackets
+    for (i, j), row in brackets.items():
+        mirror = brackets.get((j, i), {})
+        for k, c in row.items():
+            lo, hi, s = min(i, j), max(i, j), c + mirror.get(k, 0)
+            if i == j:
+                report.violations.append(Violation("antisymmetry", (i, j, k), f"c({i},{i},{k}) = {c} is nonzero"))
+            elif s and (i < j or k not in mirror):  # (j, i, k) sorts first when i > j
+                detail = f"c({lo},{hi},{k}) + c({hi},{lo},{k}) = {s}"
+                report.violations.append(Violation("antisymmetry", (lo, hi, k), detail))
+    # a Jacobi sum can be nonzero only on a triple with a nonzero bracket among its pairs
+    triples = {tuple(sorted((a, b, e))) for a, b in brackets if a != b for e in range(algebra.dim) if e not in (a, b)}
+    for i, j, k in sorted(triples):
         sums: dict[int, Fraction] = {}
         for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, c in brackets.get((a, b), ()):
-                for l, c2 in brackets.get((m, e), ()):
+            for m, c in brackets.get((a, b), {}).items():
+                for l, c2 in brackets.get((m, e), {}).items():
                     sums[l] = sums.get(l, 0) + c * c2
-        for l, s in sorted(sums.items()):
-            if s:
-                report.violations.append(
-                    Violation("jacobi", (i, j, k, l), f"Jacobi sum at ({i},{j},{k}) in coordinate {l} is {s}")
-                )
+        report.violations += [
+            Violation("jacobi", (i, j, k, l), f"Jacobi sum at ({i},{j},{k}) in coordinate {l} is {s}")
+            for l, s in sorted(sums.items()) if s
+        ]
     return report
 
 
 def killing_form(algebra: LieAlgebra) -> list[list[Fraction]]:
-    """Killing matrix B[i][j] = trace(ad xi_i composed with ad xi_j)."""
+    """Killing matrix B[i][j] = trace(ad xi_i composed with ad xi_j), the sum
+    of c(i,l,k) c(j,k,l) over the nonzero constants c(i,l,k) and c(j,k,l)."""
     d = algebra.dim
     b = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            s = Fraction(0)
-            for k in range(d):
-                for l in range(d):
-                    cjk = algebra.c(j, k, l)
-                    if cjk:
-                        s += algebra.c(i, l, k) * cjk
-            b[i][j] = s
-            b[j][i] = s
+    for (i, l), row in algebra.brackets.items():
+        for k, c in row.items():
+            for j in range(d):
+                c2 = algebra.brackets.get((j, k), {}).get(l)
+                if c2:
+                    b[i][j] += c * c2
     return b
 
 
@@ -197,17 +190,15 @@ def builtin(name: str, n: int | None = None) -> LieAlgebra:
     so its quadratic Casimir is literally x^2 + y^2 - z^2.  The Heisenberg
     algebra of size n has dimension 2n+1 with [q_i, p_i] = z and z central.
     """
+    if name in ("sl2r", "so3") and n is not None:
+        raise LieAlgebraFormatError(f"{name} does not take a size parameter")
     if name == "sl2r":
-        if n is not None:
-            raise LieAlgebraFormatError("sl2r does not take a size parameter")
         return LieAlgebra.from_brackets(
             ("x", "y", "z"),
             {(1, 2): {0: 1}, (2, 0): {1: 1}, (0, 1): {2: -1}},
             name="sl2r",
         )
     if name == "so3":
-        if n is not None:
-            raise LieAlgebraFormatError("so3 does not take a size parameter")
         return LieAlgebra.from_brackets(
             ("x", "y", "z"),
             {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}},
@@ -262,8 +253,6 @@ def lie_algebra_from_dict(data: dict) -> LieAlgebra:
     if dim != len(basis):
         raise LieAlgebraFormatError(f"'dim' is {dim} but 'basis' lists {len(basis)} names")
     index = {b: i for i, b in enumerate(basis)}
-    if len(index) != len(basis):
-        raise LieAlgebraFormatError("basis names must be distinct")
     entries = data.get("brackets", [])
     if not isinstance(entries, list):
         raise LieAlgebraFormatError("'brackets' must be a list")

@@ -55,13 +55,12 @@ class PoissonContext:
     def __init__(self, algebra: LieAlgebra, ideal: "OrbitIdeal | None"):
         self.algebra = algebra
         self.ideal = ideal
-        constants = {key: c for key, c in algebra.structure.items() if key[0] < key[1]}
-        self._den = lcm(*(c.denominator for c in constants.values()))
+        pairs = [(i, j, row) for (i, j), row in algebra.brackets.items() if i < j]
+        self._den = lcm(*(c.denominator for _, _, row in pairs for c in row.values()))
         # derivation table: (i, j, [(k, c_ij^k * den), ...]) for each pair i < j with [xi_i, xi_j] != 0
-        rows: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for (i, j, k), c in sorted(constants.items()):
-            rows.setdefault((i, j), []).append((k, c.numerator * (self._den // c.denominator)))
-        self._table = [(i, j, row) for (i, j), row in rows.items()]
+        self._table = [
+            (i, j, [(k, c.numerator * (self._den // c.denominator)) for k, c in row.items()]) for i, j, row in pairs
+        ]
         self._monomial_cache: dict[int, tuple[Monomial, ...]] = {}
 
     @classmethod

@@ -32,6 +32,7 @@ stack, so its depth is not bounded by Python's recursion limit.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
@@ -380,6 +381,11 @@ class PolynomialSyntaxError(ValueError):
 _TOKEN = re.compile(r"\d+|\w+|\S")
 
 
+def is_name(text: str) -> bool:
+    """Whether ``text`` reads as one variable name of the grammar below."""
+    return (text[:1].isalpha() or text[:1] == "_") and _TOKEN.fullmatch(text) is not None
+
+
 def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
     """Parse polynomial text over the given variable names.
 
@@ -404,7 +410,11 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
         pos, tok = tokens[k]
         if not tok.isdecimal():
             raise PolynomialSyntaxError("expected an integer", pos)
-        return pos, int(tok)
+        try:
+            return pos, int(tok)
+        except ValueError:  # more digits than Python converts to an int
+            limit = sys.get_int_max_str_digits()
+            raise PolynomialSyntaxError(f"integer of {len(tok)} digits exceeds the limit of {limit}", pos) from None
 
     nvars = len(names)
     acc = Polynomial.zero(nvars)
@@ -414,14 +424,14 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
     while True:
         pos, tok = tokens[k]
         if tok.isdecimal():
-            num, den = int(tok), 1
+            num, den = integer(k)[1], 1
             if tokens[k + 1][1] == "/":
                 den_pos, den = integer(k + 2)
                 if den == 0:
                     raise PolynomialSyntaxError("zero denominator", den_pos)
                 k += 2
             coeff *= Fraction(num, den)
-        elif tok[:1].isalpha() or tok[:1] == "_":
+        elif is_name(tok):
             if tok not in index:
                 raise PolynomialSyntaxError(f"unknown variable '{tok}'", pos)
             exp = 1

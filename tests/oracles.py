@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 from math import gcd
 
 from liepoisson.liealg import LieAlgebra
@@ -53,6 +54,66 @@ def rref_rank(matrix: list[list[Fraction]]) -> int:
 def basis_bracket(algebra: LieAlgebra, i: int, j: int) -> dict[int, Fraction]:
     """Nonzero coefficients of [xi_i, xi_j], read from ``algebra.structure``."""
     return {k: c for (a, b, k), c in algebra.structure.items() if (a, b) == (i, j)}
+
+
+def ad_matrix(algebra: LieAlgebra, i: int) -> list[list[Fraction]]:
+    """ad xi_i as a dense matrix: column l holds the coordinates of [xi_i, xi_l]."""
+    d = algebra.dim
+    return [[algebra.structure.get((i, l, k), Fraction(0)) for l in range(d)] for k in range(d)]
+
+
+def dense_killing_form(algebra: LieAlgebra) -> list[list[Fraction]]:
+    """B[i][j] = trace(ad xi_i ad xi_j), by explicit dense matrix products."""
+    d = algebra.dim
+    ads = [ad_matrix(algebra, i) for i in range(d)]
+    return [
+        [sum((ads[i][k][l] * ads[j][l][k] for k in range(d) for l in range(d)), Fraction(0)) for j in range(d)]
+        for i in range(d)
+    ]
+
+
+def dense_violations(algebra: LieAlgebra) -> list[tuple[str, tuple[int, ...], str]]:
+    """(kind, indices, detail) of every antisymmetry and Jacobi violation, by
+    dense index scans over ``algebra.structure``.
+
+    Antisymmetry comes first, in the lexicographic scan over (i, j, k): a
+    nonzero diagonal constant at (i, i, k), and a pair i != j whose sum
+    c(i,j,k) + c(j,i,k) is nonzero where the scan first meets a nonzero
+    constant of it.  Jacobi follows, by triple i < j < k, then coordinate l.
+    """
+    d = algebra.dim
+    c = [[[algebra.structure.get((i, j, k), Fraction(0)) for k in range(d)] for j in range(d)] for i in range(d)]
+    out = []
+    for i, j, k in product(range(d), repeat=3):
+        s = c[i][j][k] + c[j][i][k]
+        if i == j and c[i][i][k]:
+            out.append(("antisymmetry", (i, i, k), f"c({i},{i},{k}) = {c[i][i][k]} is nonzero"))
+        elif i != j and c[i][j][k] and (i < j or not c[j][i][k]) and s:
+            lo, hi = min(i, j), max(i, j)
+            out.append(("antisymmetry", (lo, hi, k), f"c({lo},{hi},{k}) + c({hi},{lo},{k}) = {s}"))
+    for i, j, k in combinations(range(d), 3):
+        for l in range(d):
+            s = sum(
+                (c[i][j][m] * c[m][k][l] + c[j][k][m] * c[m][i][l] + c[k][i][m] * c[m][j][l] for m in range(d)),
+                Fraction(0),
+            )
+            if s:
+                out.append(("jacobi", (i, j, k, l), f"Jacobi sum at ({i},{j},{k}) in coordinate {l} is {s}"))
+    return out
+
+
+def random_structure(rng: random.Random, d: int) -> dict[tuple[int, int, int], Fraction]:
+    """A raw bracket table on d basis elements: antisymmetric brackets on
+    random pairs (so Jacobi can fail), then a few arbitrary entries, which
+    may be diagonal, break antisymmetry or cancel an entry to zero."""
+    table: dict[tuple[int, int, int], Fraction] = {}
+    for _ in range(rng.randint(0, 2 * d)):
+        i, j, k = rng.sample(range(d), 2) + [rng.randrange(d)]
+        c = Fraction(rng.choice(COEFF_NUMERATORS), rng.choice(COEFF_DENOMINATORS))
+        table[(i, j, k)], table[(j, i, k)] = c, -c
+    for _ in range(rng.randint(0, 3)):
+        table[(rng.randrange(d), rng.randrange(d), rng.randrange(d))] = Fraction(rng.randint(-2, 2))
+    return table
 
 
 def mat_vec(a: list[list[Fraction]], x: list[Fraction]) -> list[Fraction]:

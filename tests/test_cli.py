@@ -139,9 +139,11 @@ def test_unparseable_algebra_file_is_a_usage_error(tmp_path):
         ('{"dim":2,"basis":["x","x"]}', "basis names must be distinct"),
         ('{"dim":2,"basis":["x","y"],"brackets":[{"i":"x","j":"y"},{"i":"x","j":"y"}]}',
          "bracket (x, y) defined twice"),
+        ('{"dim":3,"basis":["2","y z","w"]}', "basis name '2' is not a letter or '_' followed by letters"),
     ],
     ids=["entry-not-object", "brackets-not-list", "term-not-object", "name-not-string", "terms-not-list",
-         "definition-not-object", "dim-missing", "basis-not-list", "basis-names-repeat", "bracket-defined-twice"],
+         "definition-not-object", "dim-missing", "basis-not-list", "basis-names-repeat", "bracket-defined-twice",
+         "basis-name-not-a-variable"],
 )
 def test_malformed_algebra_file_is_a_usage_error(body, message, tmp_path, capsys):
     path = tmp_path / "malformed.json"
@@ -165,6 +167,13 @@ def test_bad_expression_reports_position():
     )
     assert status == EXIT_USAGE
     assert "position" in text
+
+
+def test_long_integer_in_an_expression_reports_position():
+    relation = "x^2 + y^2 - z^2 - " + "9" * 5000
+    status, text = run(["verify", "thm2", "--algebra", "sl2r", "--relation", relation, "--max-degree", "2"])
+    assert status == EXIT_USAGE
+    assert text == "error: integer of 5000 digits exceeds the limit of 4300 (at position 18)\n"
 
 
 def test_missing_orbit_is_a_usage_error():

@@ -1,6 +1,7 @@
 """Structure constants, bracket axioms, Killing form, and the JSON format."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from liepoisson.liealg import (
     validate,
 )
 
-from oracles import basis_bracket
+from oracles import basis_bracket, dense_killing_form, dense_violations, random_structure
+from test_higher_rank import rebased_sl3, sl3, so4, sp4
 
 F = Fraction
 
@@ -93,6 +95,43 @@ def test_killing_form_symmetric_for_builtins():
         assert b == [list(col) for col in zip(*b)]
 
 
+def assert_matches_dense_oracle(algebra):
+    assert killing_form(algebra) == dense_killing_form(algebra)
+    found = [(v.kind, v.indices, v.detail) for v in validate(algebra).violations]
+    assert found == dense_violations(algebra)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: builtin("sl2r"),
+        lambda: builtin("so3"),
+        lambda: builtin("heisenberg", 1),
+        lambda: builtin("heisenberg", 3),
+        sl3,
+        so4,
+        sp4,
+        rebased_sl3,
+        lambda: rebased_sl3(seed=2, ops=8),
+    ],
+    ids=["sl2r", "so3", "heisenberg-1", "heisenberg-3", "sl3", "so4", "sp4", "sl3-rebased", "sl3-eight-operations"],
+)
+def test_killing_form_and_validate_match_the_dense_oracle(build):
+    assert_matches_dense_oracle(build())
+
+
+def test_killing_form_and_validate_match_the_dense_oracle_on_raw_tables():
+    rng = random.Random(20261018)
+    kinds = set()
+    for _ in range(300):
+        d = rng.randint(2, 6)
+        algebra = LieAlgebra(tuple(f"b{i}" for i in range(d)), random_structure(rng, d))
+        assert_matches_dense_oracle(algebra)
+        kinds.update(v.kind for v in validate(algebra).violations)
+        kinds.update("diagonal" for i, j, k in algebra.structure if i == j)
+    assert kinds == {"antisymmetry", "jacobi", "diagonal"}
+
+
 def test_is_semisimple_rejects_invalid_algebra():
     bad = LieAlgebra(("a", "b", "c"), {(0, 1, 2): F(1), (1, 0, 2): F(1)})
     with pytest.raises(InvalidLieAlgebraError):
@@ -158,8 +197,8 @@ def test_json_rational_coefficients():
         "brackets": [{"i": "a", "j": "b", "terms": [{"k": "a", "coeff": "-3/2"}]}],
     }
     L = lie_algebra_from_dict(data)
-    assert L.c(0, 1, 0) == F(-3, 2)
-    assert L.c(1, 0, 0) == F(3, 2)
+    assert L.structure == {(0, 1, 0): F(-3, 2), (1, 0, 0): F(3, 2)}
+    assert L.brackets == {(0, 1): {0: F(-3, 2)}, (1, 0): {0: F(3, 2)}}
 
 
 def test_json_errors():
@@ -182,6 +221,18 @@ def test_json_errors():
     }
     with pytest.raises(LieAlgebraFormatError):
         lie_algebra_from_dict(conflicting)
+
+
+@pytest.mark.parametrize("name", ["2", "y z", "x-1", "x^2", "", "\u00b2"])
+def test_basis_names_must_read_back_as_variables(name):
+    with pytest.raises(LieAlgebraFormatError, match="followed by letters, digits or '_'"):
+        LieAlgebra(("a", name), {})
+    with pytest.raises(LieAlgebraFormatError):
+        lie_algebra_from_dict({"dim": 2, "basis": ["a", name]})
+
+
+def test_grammar_names_are_accepted_as_basis_names():
+    assert LieAlgebra(("_", "x1", "q_2", "\u00e9t\u00e9", "B", "x\u00b2"), {}).dim == 6
 
 
 def test_load_algebra_file(tmp_path):

@@ -210,6 +210,9 @@ def test_parse_rejects_zero_denominator():
         p("1/0*x")
 
 
+LIMIT = "exceeds the limit of 4300"
+
+
 @pytest.mark.parametrize(
     "text,message,position",
     [
@@ -223,6 +226,9 @@ def test_parse_rejects_zero_denominator():
         ("x + w^2", "unknown variable 'w'", 4),
         ("x + y )", "unexpected character ')'", 6),
         ("2 x", "unexpected character 'x'", 2),
+        # Python converts at most 4,300 digits to an int by default
+        pytest.param("x^" + "9" * 5000, f"integer of 5000 digits {LIMIT}", 2, id="long-exponent"),
+        pytest.param("3*x + " + "9" * 5000, f"integer of 5000 digits {LIMIT}", 6, id="long-coefficient"),
     ],
 )
 def test_parse_error_message_and_position(text, message, position):
