@@ -27,7 +27,6 @@ from .orbit import (
     builtin_casimir,
     casimir_orbit,
     make_orbit,
-    quotient_dimension,
 )
 from .poisson import BracketClosureError, PoissonContext, jacobi_defect, leibniz_defect
 from .poly import (
@@ -35,8 +34,6 @@ from .poly import (
     PolynomialSyntaxError,
     format_polynomial,
     monomials_of_degree,
-    monomials_up_to,
-    normal_form,
     parse_polynomial,
 )
 from .structure import (
@@ -88,12 +85,9 @@ __all__ = [
     "load_algebra",
     "make_orbit",
     "monomials_of_degree",
-    "monomials_up_to",
     "nonexactness_check",
-    "normal_form",
     "parse_polynomial",
     "poisson_ideal_closure",
-    "quotient_dimension",
     "simplicity_probe",
     "validate",
     "verify_heisenberg",

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import structure
-from .liealg import LieAlgebra, builtin, is_semisimple, killing_form, load_algebra, validate
+from .liealg import LieAlgebra, builtin, killing_form, load_algebra, nondegenerate, validate
 from .orbit import OrbitDescriptor, OrbitType, casimir_orbit, make_orbit
 from .poisson import PoissonContext
 from .poly import parse_polynomial
@@ -85,10 +85,11 @@ def _validate(args: argparse.Namespace) -> VerificationReport:
         {"check": "axioms", "violations": len(result.violations),
          "verdict": "pass" if result.ok else "fail"}
     )
-    if result.ok:
-        matrix = [[str(a) for a in row] for row in killing_form(algebra)]
+    if result.ok:  # is_semisimple's rank test on the matrix reported, without validating again
+        killing = killing_form(algebra)
+        matrix = [[str(a) for a in row] for row in killing]
         report.records.append(
-            {"check": "killing_form", "semisimple": is_semisimple(algebra), "matrix": matrix, "verdict": "pass"}
+            {"check": "killing_form", "semisimple": nondegenerate(killing), "matrix": matrix, "verdict": "pass"}
         )
     return report
 
@@ -146,7 +147,7 @@ COMMANDS = {
               ("--max-degree",), {"max_degree": 4}),
     "thm2": ("verify", "constants split off on an orbit",
              lambda a: structure.verify_thm2(_orbit(a), a.max_degree),
-             (*ORBIT, "--max-degree", "--orbit-type"), {"max_degree": 5}),
+             (*ORBIT, "--max-degree"), {"max_degree": 5}),
     "heisenberg": ("verify", "constants are bracket-reachable on the symplectic orbit",
                    lambda a: structure.verify_heisenberg(_orbit(a), a.max_degree),
                    (*ORBIT, "--max-degree"), {"max_degree": 2, "casimir": "1", "algebra": "heisenberg"}),

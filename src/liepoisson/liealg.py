@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Mapping
 
@@ -177,10 +178,17 @@ def is_semisimple(algebra: LieAlgebra) -> bool:
     if not report.ok:
         first = report.violations[0]
         raise InvalidLieAlgebraError(f"not a Lie algebra: {first.kind} violation {first.detail}")
-    killing = RowBasis(algebra.dim)
-    for row in killing_form(algebra):
-        killing.insert([(j, a) for j, a in enumerate(row) if a])
-    return killing.rank == algebra.dim
+    return nondegenerate(killing_form(algebra))
+
+
+def nondegenerate(matrix: list[list[Fraction]]) -> bool:
+    """Whether a square rational matrix has full rank; each row enters a
+    ``RowBasis`` scaled by the lcm of its denominators."""
+    rows = RowBasis(len(matrix))
+    for row in matrix:
+        scale = lcm(*(a.denominator for a in row))
+        rows.insert([(j, a.numerator * (scale // a.denominator)) for j, a in enumerate(row) if a])
+    return rows.rank == len(matrix)
 
 
 def builtin(name: str, n: int | None = None) -> LieAlgebra:

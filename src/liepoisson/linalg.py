@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
 One sparse, fraction-free elimination engine, ``RowBasis``, takes rows as
-lists of ``(column, nonzero value)`` pairs and stores each as a ``dict``
-from column to integer entry, scaled to coprime integers.  A row is reduced
+lists of ``(column, nonzero int)`` pairs and stores each as a ``dict`` from
+column to integer entry, divided by the gcd of its entries.  A row is reduced
 in place by clearing its leading column with the stored row pivoted there,
 scaling the row only when the stored pivot does not divide that entry, and
 is divided by the gcd of its entries once, after the last step.  Only
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
 Row = dict[int, int]
-Pairs = list[tuple[int, Fraction | int]]
+Pairs = list[tuple[int, int]]
 
 
 def _check_rectangular(m: Sequence[Sequence[Fraction]]) -> int:
@@ -42,12 +42,6 @@ def _content_reduce(row: Row) -> Row:
     """Divide a sparse integer row by the gcd of its entries."""
     g = gcd(*row.values())
     return {j: a // g for j, a in row.items()} if g > 1 else row
-
-
-def _scaled(pairs: Pairs) -> Row:
-    """A sparse rational row as a dict, scaled to coprime integers."""
-    scale = lcm(*(a.denominator for _, a in pairs))
-    return _content_reduce({j: a.numerator * (scale // a.denominator) for j, a in pairs})
 
 
 def _clear(row: Row, pivot_row: Row, col: int) -> None:
@@ -111,17 +105,19 @@ class RowBasis:
         return dict(sorted(done.items()))
 
     def _row(self, pairs: Pairs) -> Row:
-        row = _scaled(pairs)
+        row = dict(pairs)
         if len(row) != len(pairs):
             raise ValueError("sparse row repeats a column")
         if row and not (0 <= min(row) and max(row) < self.width):
             raise ValueError(f"sparse row has a column outside [0, {self.width})")
         if not all(row.values()):
             raise ValueError("sparse row has a zero value")
+        if not all(type(a) is int for a in row.values()):
+            raise ValueError("sparse row has a value that is not an int")
         return row
 
     def insert(self, pairs: Pairs) -> bool:
-        """Add a row of (column, nonzero value) pairs; True if the span grew."""
+        """Add a row of (column, nonzero int) pairs; True if the span grew."""
         return self._add(self._row(pairs))
 
     def contains(self, pairs: Pairs) -> bool:
@@ -167,7 +163,8 @@ class RowBasis:
 def _basis_of(rows: Iterable[Sequence[Fraction]], width: int) -> RowBasis:
     rb = RowBasis(width)
     for row in rows:
-        rb._add(_scaled([(j, a) for j, a in enumerate(row) if a]))
+        scale = lcm(*(a.denominator for a in row))
+        rb._add({j: a.numerator * (scale // a.denominator) for j, a in enumerate(row) if a})
     return rb
 
 

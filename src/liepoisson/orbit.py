@@ -121,16 +121,3 @@ def casimir_orbit(
     relation = builtin_casimir(algebra) - Polynomial.constant(algebra.dim, level)
     return make_orbit(algebra, relation, orbit_type=orbit_type)
 
-
-def quotient_dimension(orbit: OrbitDescriptor, n: int) -> int:
-    """Number of normal-form monomials at degree ``n``.
-
-    Counts monomials of degree exactly ``n`` when the relation is
-    homogeneous (the quotient is then graded) and of degree at most ``n``
-    otherwise.
-    """
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    if orbit.ideal.is_homogeneous:
-        return len(orbit.context.basis_monomials(n))
-    return len(orbit.context.basis_monomials_up_to(n))

@@ -200,19 +200,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar) -> "Polynomial":
-        if not isinstance(scalar, _SCALAR_TYPES):
-            return NotImplemented
-        return self * (Fraction(1) / Fraction(scalar))
-
-    def __pow__(self, k: int) -> "Polynomial":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("polynomial powers must be non-negative integers")
-        out = Polynomial.constant(self.nvars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.num:
@@ -336,16 +323,6 @@ class Reducer:
         return Polynomial.from_numerators(self.nvars, acc, den * scale)
 
 
-def normal_form(f: Polynomial, divisor: Polynomial) -> Polynomial:
-    """Unique remainder of ``f`` under division by a single divisor.
-
-    The result contains no monomial divisible by the leading monomial of
-    the divisor; for a single divisor it is the canonical representative
-    of ``f`` modulo the generated ideal.
-    """
-    return Reducer(divisor).reduce(f)
-
-
 def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
     """All exponent tuples of total degree ``degree``, descending in the order:
     the last exponent runs down from ``degree``, and the others recurse."""
@@ -360,12 +337,6 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
         for e in range(degree, -1, -1)
         for rest in monomials_of_degree(nvars - 1, degree - e)
     ]
-
-
-def monomials_up_to(nvars: int, degree: int) -> list[Monomial]:
-    """All exponent tuples of total degree at most ``degree``, descending:
-    the graded order puts higher degrees first."""
-    return [m for d in range(degree, -1, -1) for m in monomials_of_degree(nvars, d)]
 
 
 class PolynomialSyntaxError(ValueError):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import liepoisson
+from liepoisson import cli, liealg
 from liepoisson.cli import COMMANDS, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main, run
 
 
@@ -85,6 +86,34 @@ def test_validate_builtin_and_file(tmp_path):
     }))
     status, text = run(["validate", "--algebra", str(path)])
     assert status == EXIT_PASS
+
+
+@pytest.mark.parametrize(
+    "args,semisimple",
+    [(["--algebra", "sl2r"], True), (["--algebra", "heisenberg", "--n", "2"], False)],
+    ids=["sl2r", "heisenberg2"],
+)
+def test_validate_checks_the_axioms_and_the_killing_form_once(monkeypatch, args, semisimple):
+    # the rank test reads the Killing matrix the report prints, not a second one
+    calls = {"validate": 0, "killing_form": 0}
+
+    def counted(name):
+        fn = getattr(liealg, name)
+
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return fn(*a, **kw)
+
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name)
+        monkeypatch.setattr(liealg, name, wrapper)
+        monkeypatch.setattr(cli, name, wrapper)
+    status, text = run(["validate", *args, "--json"])
+    assert status == EXIT_PASS
+    assert json.loads(text)["records"][-1]["semisimple"] is semisimple
+    assert calls == {"validate": 1, "killing_form": 1}
 
 
 def test_validate_reports_a_jacobi_violation(tmp_path):
@@ -238,6 +267,17 @@ def test_import_loads_neither_dataclasses_nor_inspect(module):
     assert proc.stdout == "[]\n"
 
 
+def test_package_exports_resolve_and_duplicates_are_gone():
+    assert all(hasattr(liepoisson, name) for name in liepoisson.__all__)
+    # each has one replacement: Reducer(divisor).reduce, a context's
+    # basis_monomials_up_to, and len of a context's basis_monomials(_up_to)
+    for name in ("normal_form", "monomials_up_to", "quotient_dimension"):
+        assert name not in liepoisson.__all__
+        assert not any(hasattr(module, name) for module in (liepoisson, liepoisson.poly, liepoisson.orbit))
+    assert not hasattr(liepoisson.Polynomial, "__truediv__")
+    assert not hasattr(liepoisson.Polynomial, "__pow__")
+
+
 def test_json_reports_are_byte_identical_across_runs():
     commands = [
         ["verify", "prop1", "--algebra", "sl2r", "--max-degree", "3", "--json"],
@@ -327,10 +367,11 @@ def test_seed_flag_is_rejected(capsys):
         (["verify", "lemma", "--algebra", "sl2r", "--gen", "x", "--orbit-type", "other"], "--orbit-type"),
         (["verify", "thm2", "--algebra", "sl2r", "--casimir", "1", "--k", "1"], "--k"),
         (["validate", "--algebra", "sl2r"], "--max-degree"),
+        (["verify", "thm2", "--algebra", "sl2r", "--casimir", "1", "--orbit-type", "semisimple"], "--orbit-type"),
     ],
     ids=["prop1-casimir", "prop1-relation", "validate-relation", "validate-casimir", "thm2-gen",
          "nilpotent-gen", "nonexact-orbit-type", "heisenberg-orbit-type", "lemma-orbit-type", "thm2-k",
-         "validate-max-degree"],
+         "validate-max-degree", "thm2-orbit-type"],
 )
 def test_ignored_flags_are_usage_errors(args, flag):
     status, text = run([*args, "--max-degree", "2"])
@@ -339,9 +380,7 @@ def test_ignored_flags_are_usage_errors(args, flag):
 
 
 def test_orbit_type_and_gen_accepted_where_read():
-    status, _ = run(["verify", "thm2", "--algebra", "sl2r", "--casimir", "1",
-                          "--orbit-type", "semisimple", "--max-degree", "2"])
-    assert status == EXIT_PASS
+    # only probe simplicity reads --orbit-type: there it picks the dichotomy
     status, _ = run(["probe", "simplicity", "--algebra", "sl2r", "--casimir", "0",
                           "--orbit-type", "nilpotent", "--gen", "z", "--max-degree", "3"])
     assert status == EXIT_PASS

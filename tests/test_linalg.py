@@ -1,6 +1,7 @@
 """Exact linear algebra: frozen examples plus oracle cross-checks."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,10 @@ def fr(rows):
 
 
 def pairs(row):
-    """The (column, nonzero value) pairs that RowBasis takes for a dense row."""
-    return [(j, a) for j, a in enumerate(row) if a]
+    """The (column, nonzero int) pairs that RowBasis takes for a dense rational
+    row, scaled by the lcm of its denominators (which leaves its span as it is)."""
+    scale = lcm(*(F(a).denominator for a in row))
+    return [(j, int(a * scale)) for j, a in enumerate(row) if a]
 
 
 def basis_of(rows):
@@ -43,9 +46,9 @@ def test_rank_identity():
 
 
 def test_in_span_examples():
-    assert not basis_of(fr([[1, 0]])).contains([(1, F(1))])
-    assert basis_of(fr([[1, 2]])).contains([(0, F(2)), (1, F(4))])
-    assert basis_of(fr([[1, 0, 0], [0, 1, 0], [0, 0, 1]])).contains([(0, F(1)), (1, F(1)), (2, F(1))])
+    assert not basis_of(fr([[1, 0]])).contains([(1, 1)])
+    assert basis_of(fr([[1, 2]])).contains([(0, 2), (1, 4)])
+    assert basis_of(fr([[1, 0, 0], [0, 1, 0], [0, 0, 1]])).contains([(0, 1), (1, 1), (2, 1)])
 
 
 def test_solve_identity_system():
@@ -144,7 +147,7 @@ def test_reduced_rows_canonical_under_insertion_order(m, rng):
 
 @pytest.mark.parametrize(
     "row",
-    [[(3, F(1))], [(-1, F(1))]],
+    [[(3, 1)], [(-1, 1)]],
     ids=["column-at-width", "negative-column"],
 )
 def test_rowbasis_rejects_column_outside_width(row):
@@ -159,7 +162,7 @@ def test_rowbasis_rejects_zero_value():
     rb = RowBasis(3)
     for method in (rb.insert, rb.contains):
         with pytest.raises(ValueError):
-            method([(0, F(1)), (2, F(0))])
+            method([(0, 1), (2, 0)])
     assert rb.rank == 0
 
 
@@ -167,13 +170,27 @@ def test_rowbasis_rejects_repeated_column():
     rb = RowBasis(3)
     for method in (rb.insert, rb.contains):
         with pytest.raises(ValueError):
-            method([(1, F(1)), (1, F(2))])
+            method([(1, 1), (1, 2)])
     assert rb.rank == 0
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [([(0, 1), (2, F(1, 2))], "not an int"), ([(0, 1), (2, F(2))], "not an int"), ([(0, F(0))], "zero value")],
+    ids=["fraction", "integral-fraction", "zero-fraction"],
+)
+def test_rowbasis_takes_nonzero_int_entries_only(row, message):
+    rb = RowBasis(3)
+    rb.insert([(1, 1)])
+    for method in (rb.insert, rb.contains):
+        with pytest.raises(ValueError, match=message):
+            method(row)
+    assert rb.rank == 1
 
 
 def test_rowbasis_tail_spans_rows_vanishing_before_the_split():
     rb = RowBasis(4)
-    for row in ([(0, 1), (2, 1)], [(0, 1), (3, 2)], [(1, F(1, 2)), (2, 1)]):
+    for row in ([(0, 1), (2, 1)], [(0, 1), (3, 2)], [(1, 1), (2, 2)]):
         rb.insert(row)
     # the rows vanishing on columns 0 and 1 form the line through (1, -2)
     tail = RowBasis(2)

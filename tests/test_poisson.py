@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from liepoisson.liealg import LieAlgebra, builtin, validate
+from liepoisson.liealg import LieAlgebra, builtin, is_semisimple, killing_form, validate
 from liepoisson.orbit import casimir_orbit, make_orbit
 from liepoisson.poisson import BracketClosureError, PoissonContext, jacobi_defect, leibniz_defect
-from liepoisson.poly import Polynomial, monomials_of_degree, monomials_up_to, parse_polynomial
+from liepoisson.poly import Polynomial, monomials_of_degree, parse_polynomial
 
 from oracles import assert_canonical, division_normal_form, graded_lex_key, leibniz_bracket, random_polynomial
 
@@ -74,6 +74,14 @@ SCALED_SL2R = scaled_basis(SL2R, (Fraction(1, 2), Fraction(2, 3), Fraction(3)))
 def test_scaled_sl2r_is_a_lie_algebra_with_rational_constants():
     assert validate(SCALED_SL2R).ok
     assert {c.denominator for c in SCALED_SL2R.structure.values()} == {1, 4, 9}
+
+
+def test_cartans_criterion_holds_in_a_basis_with_rational_constants():
+    # the Killing matrix has fractional entries here, so its rows are scaled
+    # to integers before they enter the rank test
+    assert any(a.denominator > 1 for row in killing_form(SCALED_SL2R) for a in row)
+    assert is_semisimple(SCALED_SL2R)
+    assert not is_semisimple(scaled_basis(builtin("heisenberg", 1), (Fraction(1, 2), Fraction(2, 3), Fraction(3))))
 
 
 @pytest.fixture(scope="module")
@@ -209,4 +217,5 @@ def test_monomials_up_to_concatenate_descending_degree_slices(name):
         slices = [m for d in range(bound + 1) for m in ctx.basis_monomials(d)]
         assert ctx.basis_monomials_up_to(bound) == tuple(sorted(slices, key=graded_lex_key, reverse=True))
         free = [m for d in range(bound + 1) for m in monomials_of_degree(ctx.nvars, d)]
-        assert monomials_up_to(ctx.nvars, bound) == sorted(free, key=graded_lex_key, reverse=True)
+        expected = tuple(sorted(free, key=graded_lex_key, reverse=True))
+        assert PoissonContext.free(ctx.algebra).basis_monomials_up_to(bound) == expected

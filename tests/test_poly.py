@@ -8,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from liepoisson.liealg import builtin
+from liepoisson.poisson import PoissonContext
 from liepoisson.poly import (
     Polynomial,
     PolynomialSyntaxError,
+    Reducer,
     format_polynomial,
     monomials_of_degree,
-    monomials_up_to,
-    normal_form,
     parse_polynomial,
 )
 
@@ -70,14 +71,14 @@ def test_graded_components_partition():
 
 def test_normal_form_single_division_step():
     divisor = p("x^2 + y^2 - z^2 - 1")
-    assert normal_form(p("z^2"), divisor) == p("x^2 + y^2 - 1")
-    assert normal_form(p("x"), divisor) == p("x")
-    assert normal_form(divisor, divisor) == Polynomial.zero(3)
+    assert Reducer(divisor).reduce(p("z^2")) == p("x^2 + y^2 - 1")
+    assert Reducer(divisor).reduce(p("x")) == p("x")
+    assert Reducer(divisor).reduce(divisor) == Polynomial.zero(3)
 
 
 def test_normal_form_zero_divisor_rejected():
     with pytest.raises(ValueError):
-        normal_form(p("x"), Polynomial.zero(3))
+        Reducer(Polynomial.zero(3)).reduce(p("x"))
 
 
 def test_normal_form_kills_ideal_multiples():
@@ -86,7 +87,7 @@ def test_normal_form_kills_ideal_multiples():
     for _ in range(40):
         f = random_polynomial(rng, 3, 4)
         g = random_polynomial(rng, 3, 2)
-        assert normal_form(f + g * divisor, divisor) == normal_form(f, divisor)
+        assert Reducer(divisor).reduce(f + g * divisor) == Reducer(divisor).reduce(f)
 
 
 def test_normal_form_idempotent():
@@ -94,8 +95,8 @@ def test_normal_form_idempotent():
     divisor = p("x^2 + y^2 - z^2")
     for _ in range(40):
         f = random_polynomial(rng, 3, 5)
-        nf = normal_form(f, divisor)
-        assert normal_form(nf, divisor) == nf
+        nf = Reducer(divisor).reduce(f)
+        assert Reducer(divisor).reduce(nf) == nf
 
 
 @pytest.mark.parametrize("relation", NORMAL_FORM_RELATIONS)
@@ -103,14 +104,14 @@ def test_normal_form_matches_division_oracle(relation):
     divisor = p(relation)
     rng = random.Random(61)
     for f in [p("z^12")] + [random_polynomial(rng, 3, 8, max_terms=6) for _ in range(30)]:
-        nf = normal_form(f, divisor)
+        nf = Reducer(divisor).reduce(f)
         assert_canonical(nf)
         assert nf == division_normal_form(f, divisor)
 
 
 def test_normal_form_result_avoids_leading_monomial():
     divisor = p("x^2 + y^2 - z^2 - 1")
-    nf = normal_form(p("z^4 + x*z^3 - 2*z^2 + y"), divisor)
+    nf = Reducer(divisor).reduce(p("z^4 + x*z^3 - 2*z^2 + y"))
     assert all(m[2] <= 1 for m in nf.terms)
 
 
@@ -148,10 +149,10 @@ def test_arithmetic_matches_fraction_oracle_and_stays_canonical():
             (c - f, terms_add({(0, 0, 0): c}, terms_scale(a, Fraction(-1)))),
         ]
         if c:
-            cases.append((f / c, terms_scale(a, 1 / c)))
+            cases.append((f * (1 / c), terms_scale(a, 1 / c)))
         cases += [(f.graded_component(n), {m: x for m, x in a.items() if sum(m) == n}) for n in range(4)]
         divisor = rng.choice(divisors)
-        cases.append((normal_form(f, divisor), division_normal_form(f, divisor).terms))
+        cases.append((Reducer(divisor).reduce(f), division_normal_form(f, divisor).terms))
         for result, expected in cases:
             assert_canonical(result)
             assert result.terms == expected
@@ -277,7 +278,7 @@ def test_ring_axioms(f, g, h):
 
 def test_monomial_enumeration_counts():
     assert len(monomials_of_degree(3, 4)) == 15
-    assert len(monomials_up_to(3, 3)) == 20
+    assert len(PoissonContext.free(builtin("sl2r")).basis_monomials_up_to(3)) == 20
     assert monomials_of_degree(3, 2)[0] == (0, 0, 2)  # z^2 leads its degree
     # the enumeration is generated in order, so compare it with a sorted
     # brute-force list, including the edge cases of zero and one variable

@@ -14,7 +14,7 @@ from liepoisson.liealg import LieAlgebra, builtin
 from liepoisson.linalg import RowBasis
 from liepoisson.orbit import casimir_orbit, make_orbit
 from liepoisson.poisson import PoissonContext
-from liepoisson.poly import Polynomial, monomials_of_degree, monomials_up_to, parse_polynomial
+from liepoisson.poly import Polynomial, monomials_of_degree, parse_polynomial
 from liepoisson.structure import (
     Membership,
     Span,
@@ -148,7 +148,7 @@ def test_pair_span_equals_linear_span_degreewise(m, n):
     index = {mm: i for i, mm in enumerate(mons)}
 
     def vec(p):
-        return [(index[mm], c) for mm, c in p.terms.items()]
+        return [(index[mm], a) for mm, a in p.num.items()]
 
     pair_rows = RowBasis(len(mons))
     for ma in monomials_of_degree(3, m):
@@ -202,7 +202,7 @@ def test_pair_span_equals_bracket_sources_per_bound(name):
     def row_span(polys):
         rows = RowBasis(len(mons))
         for p in polys:
-            rows.insert([(index[m], c) for m, c in p.terms.items()])
+            rows.insert([(index[m], a) for m, a in p.num.items()])
         return rows.reduced_rows()
 
     # the sources are exactly the nonzero {x_i, m} over normal linear x_i and
@@ -629,7 +629,7 @@ def oracle_nonexact_system(orbit, degree):
         return division_normal_form(p, orbit.relation)
 
     def normal(k):
-        return [m for m in monomials_up_to(3, k) if nf(Polynomial.monomial(3, m)) == Polynomial.monomial(3, m)]
+        return [m for m in FREE_SL2R.basis_monomials_up_to(k) if nf(Polynomial.monomial(3, m)) == Polynomial.monomial(3, m)]
 
     unknowns, equations = normal(degree), normal(degree + 1)
     index = {m: i for i, m in enumerate(equations)}
