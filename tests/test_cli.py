@@ -226,9 +226,11 @@ def test_unknown_algebra_is_a_usage_error():
         (["verify", "thm2", "--algebra", "sl2r", "--casimir", "abc"], "--casimir"),
         (["verify", "thm2", "--algebra", "sl2r", "--casimir", "1/0"], "--casimir"),
         (["verify", "lemma", "--algebra", "sl2r", "--max-degree", "2"], "--gen"),
+        (["verify", "thm2", "--algebra", "sl2r", "--max-degree", "2", "--casimir"], "--casimir"),
+        (["verify", "prop1", "--algebra", "sl2r", "stray", "--max-degree", "2"], "stray"),
     ],
     ids=["conflicting-orbit-flags", "negative-max-degree", "non-integer-max-degree", "non-rational-casimir",
-         "zero-denominator-casimir", "lemma-without-generators"],
+         "zero-denominator-casimir", "lemma-without-generators", "flag-without-value", "stray-positional"],
 )
 def test_invalid_flag_values_are_usage_errors(args, flag):
     status, text = run(args)
@@ -251,12 +253,66 @@ def test_help_lists_exactly_the_flags_a_command_reads(name, capsys):
     assert listed == {"--algebra", "--n", "--json", *flags}
 
 
+# Each group: the words that reach it, and its sub-commands in COMMANDS order.
+GROUPS = {"top": ([], ["validate", "verify", "probe"]),
+          "verify": (["verify"], ["prop1", "thm2", "heisenberg", "nilpotent-ideals", "nonexact", "lemma"]),
+          "probe": (["probe"], ["simplicity"])}
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_group_help_lists_exactly_its_sub_commands(group, capsys):
+    words, children = GROUPS[group]
+    with pytest.raises(SystemExit) as exc:
+        main([*words, "--help"])
+    assert exc.value.code == 0
+    section = capsys.readouterr().out.split("commands:\n", 1)[1].split("\n\n", 1)[0]
+    assert [line.split()[0] for line in section.splitlines()] == children
+
+
+@pytest.mark.parametrize("group", GROUPS)
+@pytest.mark.parametrize("word", [None, "bogus", "--json"], ids=["missing", "unknown", "flag"])
+def test_missing_or_unknown_sub_command_is_a_usage_error(group, word):
+    words, children = GROUPS[group]
+    status, text = run([*words] if word is None else [*words, word, "--algebra", "sl2r"])
+    assert status == EXIT_USAGE
+    assert text.startswith("error:")
+    assert f"(choose from {', '.join(children)})" in text
+    if word is not None:
+        assert f"'{word}'" in text
+
+
+@pytest.mark.parametrize(
+    "words,flag,value",
+    [
+        (["verify", "thm2", "--algebra", "sl2r", "--max-degree", "2"], "--casimir", "-3/2"),
+        (["verify", "lemma", "--algebra", "sl2r", "--max-degree", "3"], "--gen", "-x+2*y+z"),
+        (["verify", "nonexact", "--algebra", "sl2r", "--max-degree", "3"], "--relation", "-x^2-y^2+z^2+1"),
+    ],
+    ids=["casimir", "gen", "relation"],
+)
+def test_flag_values_that_start_with_a_dash(words, flag, value, capsys):
+    # "--flag value" reads the next word as given, the same as "--flag=value"
+    separate = main([*words, flag, value])
+    out = capsys.readouterr().out
+    assert separate == main([*words, f"{flag}={value}"]) == EXIT_PASS
+    assert out == capsys.readouterr().out
+
+
+def test_repeated_flags_keep_the_last_value_and_gen_appends():
+    base = ["verify", "lemma", "--algebra", "sl2r", "--json"]
+    both = run([*base, "--gen", "x", "--gen=y", "--max-degree", "3"])
+    assert run([*base, "--max-degree", "9", "--gen", "x", "--max-degree=3", "--gen", "y"]) == both
+    assert run([*base, "--gen", "x", "--max-degree", "3"]) != both
+
+
 @pytest.mark.parametrize("module", ["liepoisson", "liepoisson.cli"])
 def test_import_loads_neither_dataclasses_nor_inspect(module):
     # A fresh interpreter without site (-S), so that only the package's own
-    # imports are seen; both modules weigh on every claim's start-up.
+    # imports are seen; each of these modules weighs on every claim's
+    # start-up, and argparse brings gettext and locale with it.
     src = str(Path(liepoisson.__file__).resolve().parents[1])
-    code = f"import sys, {module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    heavy = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+    code = f"import sys, {module}; print(sorted({heavy!r} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env=dict(os.environ, PYTHONPATH=src),
@@ -368,10 +424,11 @@ def test_seed_flag_is_rejected(capsys):
         (["verify", "thm2", "--algebra", "sl2r", "--casimir", "1", "--k", "1"], "--k"),
         (["validate", "--algebra", "sl2r"], "--max-degree"),
         (["verify", "thm2", "--algebra", "sl2r", "--casimir", "1", "--orbit-type", "semisimple"], "--orbit-type"),
+        (["verify", "prop1", "--algebra", "sl2r", "--max", "2"], "--max"),
     ],
     ids=["prop1-casimir", "prop1-relation", "validate-relation", "validate-casimir", "thm2-gen",
          "nilpotent-gen", "nonexact-orbit-type", "heisenberg-orbit-type", "lemma-orbit-type", "thm2-k",
-         "validate-max-degree", "thm2-orbit-type"],
+         "validate-max-degree", "thm2-orbit-type", "prefix-of-max-degree"],
 )
 def test_ignored_flags_are_usage_errors(args, flag):
     status, text = run([*args, "--max-degree", "2"])
