@@ -135,12 +135,12 @@ def _orbit_type(text: str) -> OrbitType:
 # and every other flag keeps its last value.
 FLAGS = {
     "--algebra": (str, "built-in algebra name (sl2r, so3, heisenberg) or a JSON definition file"),
-    "--n": (int, "Heisenberg size (dimension 2n+1)"),
+    "--n": (_non_negative, "Heisenberg size (dimension 2n+1)"),
     "--casimir": (str, "orbit level c: relation = (built-in Casimir) - c"),
     "--relation": (str, "orbit relation as a polynomial expression"),
     "--max-degree": (_non_negative, "degree or source bound for the checks"),
     "--gen": (str, "generator polynomial (repeatable)"),
-    "--k": (int, "lowest degree of the homogeneous ideal (default 1)"),
+    "--k": (_non_negative, "lowest degree of the homogeneous ideal (default 1)"),
     "--orbit-type": (_orbit_type, "override the orbit classification"),
     "--json": (None, "emit the report as JSON"),
 }

@@ -30,9 +30,8 @@ class OrbitType(Enum):
 class OrbitIdeal(Reducer):
     """Principal ideal generated by a single nonconstant relation.
 
-    Reduction is inherited from ``Reducer``.  The bracket-closure
-    invariant (the relation's bracket with every generator reduces to zero)
-    is enforced when a quotient context is built from the ideal.
+    Reduction is inherited from ``Reducer``; a ``PoissonContext`` built
+    from the ideal checks that the relation is bracket-closed.
     """
 
     def __init__(self, relation: Polynomial):
@@ -43,33 +42,17 @@ class OrbitIdeal(Reducer):
         super().__init__(relation)
         self.relation = relation
 
-    @property
-    def is_homogeneous(self) -> bool:
-        return self.relation.is_homogeneous()
-
     def __repr__(self) -> str:
         names = tuple(f"x{i}" for i in range(self.relation.nvars))
         return f"OrbitIdeal({format_polynomial(self.relation, names)!r})"
 
 
 class OrbitDescriptor:
-    """An orbit: its algebra, its ideal, its type tag and its quotient context."""
+    """An orbit: its quotient context, which owns the algebra and ideal, and its type tag."""
 
-    def __init__(self, algebra: LieAlgebra, ideal: OrbitIdeal, orbit_type: OrbitType, context: PoissonContext):
-        self.algebra = algebra
-        self.ideal = ideal
-        self.orbit_type = orbit_type
+    def __init__(self, context: PoissonContext, orbit_type: OrbitType):
         self.context = context
-
-    @property
-    def relation(self) -> Polynomial:
-        return self.ideal.relation
-
-    def format(self, p: Polynomial) -> str:
-        return self.context.format(p)
-
-    def parse(self, text: str) -> Polynomial:
-        return self.context.parse(text)
+        self.orbit_type = orbit_type
 
 
 def _classify(algebra: LieAlgebra, relation: Polynomial) -> OrbitType:
@@ -92,10 +75,9 @@ def make_orbit(
     (the level set is then not a union of symplectic leaves at this scale).
     ``orbit_type`` overrides the built-in classification rule.
     """
-    ideal = OrbitIdeal(relation)
-    context = PoissonContext.quotient(algebra, ideal)
+    context = PoissonContext(algebra, OrbitIdeal(relation))
     tag = orbit_type if orbit_type is not None else _classify(algebra, relation)
-    return OrbitDescriptor(algebra, ideal, tag, context)
+    return OrbitDescriptor(context, tag)
 
 
 def builtin_casimir(algebra: LieAlgebra) -> Polynomial:

@@ -48,13 +48,16 @@ class BracketClosureError(ValueError):
 class PoissonContext:
     """Free or quotient Poisson algebra over a fixed Lie algebra.
 
-    ``bracket`` and ``reduce`` are pure functions of their arguments; the
+    A quotient context checks its relation when built (ValueError on another
+    variable count, BracketClosureError if its bracket with a generator does
+    not reduce to zero).  ``bracket`` and ``reduce`` are pure functions; the
     context and its ideal only cache basis monomials and normal forms.
     """
 
     def __init__(self, algebra: LieAlgebra, ideal: "OrbitIdeal | None"):
         self.algebra = algebra
         self.ideal = ideal
+        self.nvars = algebra.dim
         pairs = [(i, j, row) for (i, j), row in algebra.brackets.items() if i < j]
         self._den = lcm(*(c.denominator for _, _, row in pairs for c in row.values()))
         # derivation table: (i, j, [(k, c_ij^k * den), ...]) for each pair i < j with [xi_i, xi_j] != 0
@@ -62,30 +65,21 @@ class PoissonContext:
             (i, j, [(k, c.numerator * (self._den // c.denominator)) for k, c in row.items()]) for i, j, row in pairs
         ]
         self._monomial_cache: dict[int, tuple[Monomial, ...]] = {}
+        if ideal is not None:
+            if ideal.relation.nvars != algebra.dim:
+                raise ValueError("relation does not match the algebra's variable count")
+            for i in range(algebra.dim):
+                defect = self.bracket(ideal.relation, algebra.variable(i))
+                if defect:
+                    raise BracketClosureError(algebra.names[i], self.format(defect))
 
     @classmethod
     def free(cls, algebra: LieAlgebra) -> "PoissonContext":
         return cls(algebra, None)
 
-    @classmethod
-    def quotient(cls, algebra: LieAlgebra, ideal: "OrbitIdeal") -> "PoissonContext":
-        """Quotient context; fails loudly if the relation is not bracket-closed."""
-        if ideal.relation.nvars != algebra.dim:
-            raise ValueError("relation does not match the algebra's variable count")
-        ctx = cls(algebra, ideal)
-        for i in range(algebra.dim):
-            defect = ctx.bracket(ideal.relation, algebra.variable(i))
-            if defect:
-                raise BracketClosureError(algebra.names[i], ctx.format(defect))
-        return ctx
-
     @property
     def is_quotient(self) -> bool:
         return self.ideal is not None
-
-    @property
-    def nvars(self) -> int:
-        return self.algebra.dim
 
     def variable(self, i: int) -> Polynomial:
         return self.algebra.variable(i)

@@ -325,18 +325,26 @@ class Reducer:
 
 def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
     """All exponent tuples of total degree ``degree``, descending in the order:
-    the last exponent runs down from ``degree``, and the others recurse."""
+    the last exponent runs down from ``degree``, then the one before it, and
+    so on.  Exponents are placed from the last variable on, without recursion:
+    each entry is (r, *placed), r the degree still to place, and one with
+    r = 0 can only end in zeros, so it is carried over and padded at the end."""
     if degree < 0:
         raise ValueError("degree must be non-negative")
     if nvars == 0:
         return [()] if degree == 0 else []
-    if nvars == 1:
-        return [(degree,)]
-    return [
-        rest + (e,)
-        for e in range(degree, -1, -1)
-        for rest in monomials_of_degree(nvars - 1, degree - e)
-    ]
+    entries = [(degree,)]
+    for _ in range(nvars - 1):
+        grown = []
+        for entry in entries:
+            r = entry[0]
+            if r:
+                placed = entry[1:]
+                grown += [(r - e, e) + placed for e in range(r, -1, -1)]
+            else:
+                grown.append(entry)
+        entries = grown
+    return [(0,) * (nvars - len(entry)) + entry for entry in entries]
 
 
 class PolynomialSyntaxError(ValueError):

@@ -283,6 +283,8 @@ def verify_prop1(algebra: LieAlgebra, max_degree: int) -> VerificationReport:
     have full rank (direct sum).  Runs on non-semisimple input too and
     records the failures, since the splitting is expected to break there.
     """
+    if max_degree < 0:
+        raise ValueError(f"the bound max_degree must be non-negative, got {max_degree}")
     report = VerificationReport(
         "prop1",
         {"algebra": algebra.name or "user", "max_degree": max_degree},
@@ -312,11 +314,11 @@ def verify_prop1(algebra: LieAlgebra, max_degree: int) -> VerificationReport:
     return report
 
 
-def _orbit_report(claim: str, orbit: OrbitDescriptor, **params) -> VerificationReport:
-    """An empty report whose params name the orbit's algebra and relation,
+def _orbit_report(claim: str, ctx: PoissonContext, **params) -> VerificationReport:
+    """An empty report whose params name the quotient's algebra and relation,
     then ``params`` in the order given."""
     return VerificationReport(
-        claim, {"algebra": orbit.algebra.name or "user", "relation": orbit.format(orbit.relation), **params}
+        claim, {"algebra": ctx.algebra.name or "user", "relation": ctx.format(ctx.ideal.relation), **params}
     )
 
 
@@ -336,11 +338,13 @@ def verify_thm2(orbit: OrbitDescriptor, max_bound: int) -> VerificationReport:
     brackets at a lower bound cannot reach higher degrees; the effective cap
     is recorded in the report.
     """
+    if max_bound < 0:
+        raise ValueError(f"the bound max_bound must be non-negative, got {max_bound}")
     ctx = orbit.context
     monomial_degree_cap = min(MONOMIAL_DEGREE_CAP, max_bound)
     report = _orbit_report(
         "thm2",
-        orbit,
+        ctx,
         orbit_type=orbit.orbit_type.value,
         max_bound=max_bound,
         monomial_degree_cap=monomial_degree_cap,
@@ -390,7 +394,7 @@ def verify_heisenberg(orbit: OrbitDescriptor, bound: int = 2) -> VerificationRep
     ctx = orbit.context
     one = Polynomial.constant(ctx.nvars, 1)
     verdict = derived_membership(ctx, one, bound)
-    report = _orbit_report("heisenberg", orbit, bound=bound)
+    report = _orbit_report("heisenberg", ctx, bound=bound)
     report.records.append(
         {
             "check": "constants",
@@ -471,10 +475,10 @@ def simplicity_probe(
         raise ValueError("probe generators must be nonconstant on the orbit")
     report = _orbit_report(
         "simplicity",
-        orbit,
+        ctx,
         orbit_type=orbit.orbit_type.value,
         degree_bound=degree_bound,
-        generators=[orbit.format(g) for g in gens],
+        generators=[ctx.format(g) for g in gens],
     )
     one = Polynomial.constant(ctx.nvars, 1)
     kind = orbit.orbit_type
@@ -484,7 +488,7 @@ def simplicity_probe(
         contains_one, proper = span.contains(one), span.rank < len(span.monomials)
         found = found or proper
         record = {
-            "generator": orbit.format(g),
+            "generator": ctx.format(g),
             "contains_one": contains_one,
             "proper": proper,
             "rank": span.rank,
@@ -522,10 +526,10 @@ def verify_homogeneous_ideals(orbit: OrbitDescriptor, k: int, degree_bound: int)
         raise ValueError("the homogeneous ideal index k must be at least 1")
     if k > degree_bound:
         raise ValueError(f"the homogeneous ideal index k={k} exceeds the degree bound {degree_bound}")
-    if not orbit.ideal.is_homogeneous:
-        raise ValueError("orbit relation is not homogeneous; the quotient is not graded")
     ctx = orbit.context
-    report = _orbit_report("nilpotent-ideals", orbit, k=k, degree_bound=degree_bound)
+    if not ctx.ideal.relation.is_homogeneous():
+        raise ValueError("orbit relation is not homogeneous; the quotient is not graded")
+    report = _orbit_report("nilpotent-ideals", ctx, k=k, degree_bound=degree_bound)
 
     monomials = {
         d: [Polynomial.monomial(ctx.nvars, m) for m in ctx.basis_monomials(d)]
@@ -582,15 +586,16 @@ def nonexactness_check(
     that span by bound d.  The relation may be any nonzero rational multiple
     of the level-1 Casimir relation, since a multiple generates the same ideal.
     """
-    algebra = orbit.algebra
-    if algebra.name != "sl2r":
+    if degree_bound < 0:
+        raise ValueError(f"the bound degree_bound must be non-negative, got {degree_bound}")
+    ctx = orbit.context
+    if ctx.algebra.name != "sl2r":
         raise ValueError("the non-exactness system is specific to sl2r")
-    expected = builtin_casimir(algebra) - Polynomial.constant(algebra.dim, 1)
-    relation = orbit.relation
+    expected = builtin_casimir(ctx.algebra) - Polynomial.constant(ctx.nvars, 1)
+    relation = ctx.ideal.relation
     if relation * (expected.leading_term()[1] / relation.leading_term()[1]) != expected:
         raise ValueError("the non-exactness system requires a multiple of the hyperboloid relation (Casimir level 1)")
-    ctx = orbit.context
-    report = _orbit_report("nonexact", orbit, max_coefficient_degree=degree_bound)
+    report = _orbit_report("nonexact", ctx, max_coefficient_degree=degree_bound)
     # The degree-d system's columns are {x_i, m} with deg m <= d; constants
     # bracket to zero and {x_i, x_j} = -{x_j, x_i}, so the sources of bound
     # d span them, and the system is feasible iff 1 enters by bound d.

@@ -186,7 +186,7 @@ def test_criterion_7_axiom_property_suite():
         ]
         for orbit in orbits:
             ctx = orbit.context
-            free = PoissonContext.free(orbit.algebra)
+            free = PoissonContext.free(ctx.algebra)
             n = ctx.nvars
             for _ in range(100):
                 f = random_polynomial(rng, n, 3)

@@ -228,9 +228,15 @@ def test_unknown_algebra_is_a_usage_error():
         (["verify", "lemma", "--algebra", "sl2r", "--max-degree", "2"], "--gen"),
         (["verify", "thm2", "--algebra", "sl2r", "--max-degree", "2", "--casimir"], "--casimir"),
         (["verify", "prop1", "--algebra", "sl2r", "stray", "--max-degree", "2"], "stray"),
+        (["verify", "nilpotent-ideals", "--algebra", "sl2r", "--k", "x"],
+         "--k: expects a non-negative integer, got 'x'"),
+        (["verify", "nilpotent-ideals", "--algebra", "sl2r", "--k", "0"], "index k must be at least 1"),
+        (["verify", "prop1", "--algebra", "heisenberg", "--n", "x"], "--n: expects a non-negative integer, got 'x'"),
+        (["verify", "prop1", "--algebra", "heisenberg", "--n", "0"], "size n >= 1"),
     ],
     ids=["conflicting-orbit-flags", "negative-max-degree", "non-integer-max-degree", "non-rational-casimir",
-         "zero-denominator-casimir", "lemma-without-generators", "flag-without-value", "stray-positional"],
+         "zero-denominator-casimir", "lemma-without-generators", "flag-without-value", "stray-positional",
+         "non-integer-k", "zero-k", "non-integer-n", "zero-n"],
 )
 def test_invalid_flag_values_are_usage_errors(args, flag):
     status, text = run(args)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from liepoisson.liealg import LieAlgebra, builtin, is_semisimple, killing_form, validate
-from liepoisson.orbit import casimir_orbit, make_orbit
+from liepoisson.orbit import OrbitIdeal, builtin_casimir, casimir_orbit, make_orbit
 from liepoisson.poisson import BracketClosureError, PoissonContext, jacobi_defect, leibniz_defect
 from liepoisson.poly import Polynomial, monomials_of_degree, parse_polynomial
 
@@ -187,6 +187,16 @@ def test_context_rejects_unclosed_relation():
     with pytest.raises(BracketClosureError) as err:
         make_orbit(SL2R, sl2("z - 1"))
     assert "{relation, x}" in str(err.value)
+
+
+def test_constructor_checks_the_relation():
+    with pytest.raises(BracketClosureError) as err:
+        PoissonContext(SL2R, OrbitIdeal(sl2("x^2 - 1")))
+    assert (err.value.generator, err.value.residual) == ("y", "-2*x*z")
+    h2 = builtin("heisenberg", 2)
+    with pytest.raises(ValueError, match="variable count"):
+        PoissonContext(SL2R, OrbitIdeal(builtin_casimir(h2) - Polynomial.constant(h2.dim, 1)))
+    assert PoissonContext(SL2R, OrbitIdeal(builtin_casimir(SL2R) - Polynomial.constant(3, 1))).is_quotient
 
 
 def test_bracket_variable_mismatch():

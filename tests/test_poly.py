@@ -282,10 +282,18 @@ def test_monomial_enumeration_counts():
     assert monomials_of_degree(3, 2)[0] == (0, 0, 2)  # z^2 leads its degree
     # the enumeration is generated in order, so compare it with a sorted
     # brute-force list, including the edge cases of zero and one variable
-    for nvars in (0, 1, 3, 4):
-        for degree in range(6):
+    for nvars in (0, 1, 2, 3, 4, 5, 6):
+        for degree in range(6 if nvars < 5 else 4):
             box = [m for m in itertools.product(range(degree + 1), repeat=nvars) if sum(m) == degree]
             assert monomials_of_degree(nvars, degree) == sorted(box, key=graded_lex_key, reverse=True)
+
+
+def test_monomial_enumeration_does_not_recurse_per_variable():
+    # 1,200 variables is past the default recursion limit of 1,000
+    n = 1200
+    assert monomials_of_degree(n, 0) == [(0,) * n]
+    linear = monomials_of_degree(n, 1)
+    assert linear == [tuple(int(k == i) for k in range(n)) for i in range(n - 1, -1, -1)]
 
 
 def test_degree_conventions():

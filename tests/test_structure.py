@@ -529,6 +529,21 @@ def test_bracket_closure_witness_names_the_failing_bracket():
     assert _bracket_closed(FREE_SL2R, span, elements) == (False, "{y, 1*(x)}")
 
 
+@pytest.mark.parametrize(
+    "check,name",
+    [
+        (lambda orbit: verify_prop1(SL2R, -1), "max_degree"),
+        (lambda orbit: verify_thm2(orbit, -1), "max_bound"),
+        (lambda orbit: nonexactness_check(orbit, -1), "degree_bound"),
+    ],
+    ids=["prop1", "thm2", "nonexact"],
+)
+def test_negative_bound_is_refused_not_passed(check, name):
+    # a negative bound leaves no degree to check, so a report would pass vacuously
+    with pytest.raises(ValueError, match=f"the bound {name} must be non-negative, got -1"):
+        check(casimir_orbit(SL2R, 1))
+
+
 def test_closure_input_validation():
     with pytest.raises(ValueError, match="at least one generator"):
         poisson_ideal_closure(FREE_SL2R, [], 3)
@@ -538,7 +553,7 @@ def test_closure_input_validation():
         poisson_ideal_closure(FREE_SL2R, [sl2("x^2")], 1)
     orbit = casimir_orbit(SL2R, 1)
     with pytest.raises(ValueError, match="is zero in the context"):
-        poisson_ideal_closure(orbit.context, [orbit.relation], 3)  # reduces to zero
+        poisson_ideal_closure(orbit.context, [orbit.context.ideal.relation], 3)  # reduces to zero
 
 
 def test_simplicity_probe_semisimple_orbit():
@@ -626,7 +641,7 @@ def oracle_nonexact_system(orbit, degree):
     ctx = orbit.context
 
     def nf(p):
-        return division_normal_form(p, orbit.relation)
+        return division_normal_form(p, ctx.ideal.relation)
 
     def normal(k):
         return [m for m in FREE_SL2R.basis_monomials_up_to(k) if nf(Polynomial.monomial(3, m)) == Polynomial.monomial(3, m)]
