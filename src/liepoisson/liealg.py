@@ -1,9 +1,10 @@
 """Lie algebras presented by structure constants.
 
-An algebra stores the raw sparse table c(i, j, k) of bracket coefficients
-[xi_i, xi_j] = sum_k c(i,j,k) xi_k, so that antisymmetry and the Jacobi
-identity are checkable properties rather than construction invariants.
-Built-in algebras cover sl(2,R), so(3), and the Heisenberg family.
+An algebra stores the sparse table of nonzero bracket coefficients
+[xi_i, xi_j] = sum_k c(i,j,k) xi_k by ordered pair, completed
+antisymmetrically when built: antisymmetry is a construction invariant,
+and the Jacobi identity is the checkable property.  Built-in algebras
+cover sl(2,R), so(3), and the Heisenberg family.
 """
 
 from __future__ import annotations
@@ -29,17 +30,19 @@ class InvalidLieAlgebraError(ValueError):
 class LieAlgebra:
     """A finite-dimensional algebra given by basis names and bracket constants.
 
-    ``structure`` maps index triples (i, j, k) to the coefficient of xi_k in
-    [xi_i, xi_j]; absent triples are zero.  ``brackets[(i, j)] = {k: c}``
-    groups the same nonzero constants by ordered pair.  Both are built once,
-    in sorted (i, j, k) order, from the table as given, so ``validate`` can
-    report antisymmetry violations of raw input.
+    ``brackets`` maps an index pair (i, j) to ``{k: c}`` for
+    [xi_i, xi_j] = sum_k c xi_k, and is given on pairs in either order.
+    The constructor drops zero coefficients, refuses a nonzero diagonal
+    bracket and a pair given in both orders that does not negate, and
+    completes the table antisymmetrically.  It keeps only the nonzero
+    brackets, sorted by (i, j) and then k, and does not change them
+    afterwards; the Jacobi identity is checked by ``validate``.
     """
 
     def __init__(
         self,
-        names: tuple[str, ...],
-        structure: Mapping[tuple[int, int, int], Fraction | int],
+        names: tuple[str, ...] | list[str],
+        brackets: Mapping[tuple[int, int], Mapping[int, Fraction | int]],
         name: str | None = None,
     ):
         self.names = tuple(names)
@@ -50,17 +53,21 @@ class LieAlgebra:
         if bad is not None:  # a name that the expression grammar cannot read back
             raise LieAlgebraFormatError(f"basis name {bad!r} is not a letter or '_' followed by letters, digits or '_'")
         d = len(self.names)
-        clean: dict[tuple[int, int, int], Fraction] = {}
-        for (i, j, k), c in structure.items():
-            if not all(0 <= t < d for t in (i, j, k)):
-                raise LieAlgebraFormatError(f"structure constant index {(i, j, k)} out of range")
-            c = Fraction(c)
-            if c:
-                clean[(i, j, k)] = c
-        self.structure = dict(sorted(clean.items()))
-        self.brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for (i, j, k), c in self.structure.items():
-            self.brackets.setdefault((i, j), {})[k] = c
+        table: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for (i, j), terms in brackets.items():
+            terms = {k: Fraction(c) for k, c in terms.items() if c}
+            if i == j and terms:
+                raise LieAlgebraFormatError(f"nonzero bracket of basis element {i} with itself")
+            if (i, j) in table:  # the negated bracket of the reverse pair, given earlier
+                if table[(i, j)] != terms:
+                    raise LieAlgebraFormatError(f"brackets ({i}, {j}) and ({j}, {i}) conflict with antisymmetry")
+                continue
+            for k in terms:
+                if not all(0 <= t < d for t in (i, j, k)):
+                    raise LieAlgebraFormatError(f"structure constant index {(i, j, k)} out of range")
+            table[(i, j)] = terms
+            table[(j, i)] = {k: -c for k, c in terms.items()}
+        self.brackets = {pair: dict(sorted(row.items())) for pair, row in sorted(table.items()) if row}
 
     @property
     def dim(self) -> int:
@@ -68,37 +75,6 @@ class LieAlgebra:
 
     def variable(self, i: int) -> Polynomial:
         return Polynomial.variable(self.dim, i)
-
-    @classmethod
-    def from_brackets(
-        cls,
-        names: tuple[str, ...] | list[str],
-        brackets: Mapping[tuple[int, int], Mapping[int, Fraction | int]],
-        name: str | None = None,
-    ) -> "LieAlgebra":
-        """Build from brackets on index pairs, completing antisymmetrically.
-
-        If both (i, j) and (j, i) are supplied they must negate each other.
-        A nonzero diagonal bracket (i, i) is rejected.
-        """
-        structure: dict[tuple[int, int, int], Fraction] = {}
-        seen: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for (i, j), terms in brackets.items():
-            terms = {k: Fraction(c) for k, c in terms.items() if Fraction(c)}
-            if i == j and terms:
-                raise LieAlgebraFormatError(f"nonzero bracket of basis element {i} with itself")
-            if (j, i) in seen:
-                mirrored = {k: -c for k, c in seen[(j, i)].items()}
-                if mirrored != terms:
-                    raise LieAlgebraFormatError(
-                        f"brackets ({i}, {j}) and ({j}, {i}) conflict with antisymmetry"
-                    )
-                continue
-            seen[(i, j)] = terms
-            for k, c in terms.items():
-                structure[(i, j, k)] = c
-                structure[(j, i, k)] = -c
-        return cls(tuple(names), structure, name=name)
 
 
 class Violation:
@@ -122,26 +98,24 @@ class ValidationReport:
 
 
 def validate(algebra: LieAlgebra) -> ValidationReport:
-    """Check antisymmetry and the Jacobi identity instance by instance.
+    """Check the Jacobi identity instance by instance.
 
-    Every violated instance is reported: antisymmetry at (i, j, k) whenever
-    c(i,j,k) + c(j,i,k) is nonzero (including nonzero diagonal brackets),
-    and Jacobi at (i, j, k, l) for strictly increasing i < j < k.  Only
-    triples with a nonzero bracket among their pairs are visited.
+    Every violated instance (i, j, k, l) is reported, for strictly
+    increasing i < j < k and each coordinate l with a nonzero Jacobi sum,
+    in that order.  A term [[xi_a, xi_b], xi_e] of a Jacobi sum is nonzero
+    only if some coordinate m of [xi_a, xi_b] has [xi_m, xi_e] != 0, so only
+    the triples {a, b, e} found that way through the table are visited.
     """
     report = ValidationReport()
     brackets = algebra.brackets
-    for (i, j), row in brackets.items():
-        mirror = brackets.get((j, i), {})
-        for k, c in row.items():
-            lo, hi, s = min(i, j), max(i, j), c + mirror.get(k, 0)
-            if i == j:
-                report.violations.append(Violation("antisymmetry", (i, j, k), f"c({i},{i},{k}) = {c} is nonzero"))
-            elif s and (i < j or k not in mirror):  # (j, i, k) sorts first when i > j
-                detail = f"c({lo},{hi},{k}) + c({hi},{lo},{k}) = {s}"
-                report.violations.append(Violation("antisymmetry", (lo, hi, k), detail))
-    # a Jacobi sum can be nonzero only on a triple with a nonzero bracket among its pairs
-    triples = {tuple(sorted((a, b, e))) for a, b in brackets if a != b for e in range(algebra.dim) if e not in (a, b)}
+    partners: dict[int, list[int]] = {}
+    for m, e in brackets:
+        partners.setdefault(m, []).append(e)
+    triples = {
+        tuple(sorted((a, b, e)))
+        for (a, b), row in brackets.items() if a < b
+        for m in row for e in partners.get(m, ()) if e != a and e != b
+    }
     for i, j, k in sorted(triples):
         sums: dict[int, Fraction] = {}
         for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
@@ -169,15 +143,21 @@ def killing_form(algebra: LieAlgebra) -> list[list[Fraction]]:
     return b
 
 
+def require_lie(algebra: LieAlgebra) -> None:
+    """Raise InvalidLieAlgebraError naming the first violation ``validate``
+    finds, if any."""
+    report = validate(algebra)
+    if not report.ok:
+        first = report.violations[0]
+        raise InvalidLieAlgebraError(f"not a Lie algebra: {first.kind} violation {first.detail}")
+
+
 def is_semisimple(algebra: LieAlgebra) -> bool:
     """Cartan's criterion: the Killing form is non-degenerate.
 
     Requires a valid algebra; raises InvalidLieAlgebraError otherwise.
     """
-    report = validate(algebra)
-    if not report.ok:
-        first = report.violations[0]
-        raise InvalidLieAlgebraError(f"not a Lie algebra: {first.kind} violation {first.detail}")
+    require_lie(algebra)
     return nondegenerate(killing_form(algebra))
 
 
@@ -201,13 +181,13 @@ def builtin(name: str, n: int | None = None) -> LieAlgebra:
     if name in ("sl2r", "so3") and n is not None:
         raise LieAlgebraFormatError(f"{name} does not take a size parameter")
     if name == "sl2r":
-        return LieAlgebra.from_brackets(
+        return LieAlgebra(
             ("x", "y", "z"),
             {(1, 2): {0: 1}, (2, 0): {1: 1}, (0, 1): {2: -1}},
             name="sl2r",
         )
     if name == "so3":
-        return LieAlgebra.from_brackets(
+        return LieAlgebra(
             ("x", "y", "z"),
             {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}},
             name="so3",
@@ -220,7 +200,7 @@ def builtin(name: str, n: int | None = None) -> LieAlgebra:
         else:
             names = tuple(f"q{i + 1}" for i in range(n)) + tuple(f"p{i + 1}" for i in range(n)) + ("z",)
         brackets = {(i, n + i): {2 * n: 1} for i in range(n)}
-        return LieAlgebra.from_brackets(names, brackets, name="heisenberg")
+        return LieAlgebra(names, brackets, name="heisenberg")
     raise LieAlgebraFormatError(f"unknown built-in algebra '{name}'")
 
 
@@ -258,6 +238,8 @@ def lie_algebra_from_dict(data: dict) -> LieAlgebra:
         raise LieAlgebraFormatError(f"missing required key {exc}") from None
     if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
         raise LieAlgebraFormatError("'basis' must be a list of names")
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise LieAlgebraFormatError(f"'dim' must be an integer, not {dim!r}")
     if dim != len(basis):
         raise LieAlgebraFormatError(f"'dim' is {dim} but 'basis' lists {len(basis)} names")
     index = {b: i for i, b in enumerate(basis)}
@@ -283,7 +265,7 @@ def lie_algebra_from_dict(data: dict) -> LieAlgebra:
                 f"bracket ({entry['i']}, {entry['j']}) defined twice"
             )
         brackets[(i, j)] = terms
-    return LieAlgebra.from_brackets(tuple(basis), brackets)
+    return LieAlgebra(tuple(basis), brackets)
 
 
 def load_algebra(path: str | Path) -> LieAlgebra:

@@ -27,7 +27,7 @@ from math import lcm
 from operator import add
 from typing import TYPE_CHECKING
 
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, require_lie
 from .poly import Monomial, Polynomial, format_polynomial, monomials_of_degree, parse_polynomial
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,13 +48,16 @@ class BracketClosureError(ValueError):
 class PoissonContext:
     """Free or quotient Poisson algebra over a fixed Lie algebra.
 
-    A quotient context checks its relation when built (ValueError on another
-    variable count, BracketClosureError if its bracket with a generator does
-    not reduce to zero).  ``bracket`` and ``reduce`` are pure functions; the
-    context and its ideal only cache basis monomials and normal forms.
+    A context refuses an algebra that is not Lie (InvalidLieAlgebraError,
+    naming the first Jacobi violation), and a quotient context then checks
+    its relation (ValueError on another variable count, BracketClosureError
+    if its bracket with a generator does not reduce to zero).  ``bracket``
+    and ``reduce`` are pure functions; the context and its ideal only cache
+    basis monomials and normal forms.
     """
 
     def __init__(self, algebra: LieAlgebra, ideal: "OrbitIdeal | None"):
+        require_lie(algebra)
         self.algebra = algebra
         self.ideal = ideal
         self.nvars = algebra.dim

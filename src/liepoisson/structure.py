@@ -27,7 +27,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .liealg import LieAlgebra, is_semisimple
+from .liealg import LieAlgebra, killing_form, nondegenerate
 # nullspace, reduce_vector, row_space_intersection and solve_linear are not
 # called here: they are bound only because perfbench/spans.py wraps them here.
 from .linalg import Pairs, RowBasis, nullspace, reduce_vector, row_space_intersection, solve_linear
@@ -289,9 +289,9 @@ def verify_prop1(algebra: LieAlgebra, max_degree: int) -> VerificationReport:
         "prop1",
         {"algebra": algebra.name or "user", "max_degree": max_degree},
     )
-    if not is_semisimple(algebra):
+    ctx = PoissonContext.free(algebra)  # refuses an algebra that is not Lie
+    if not nondegenerate(killing_form(algebra)):
         report.notes.append("algebra is not semisimple; the splitting is expected to fail")
-    ctx = PoissonContext.free(algebra)
     for n in range(max_degree + 1):
         center, derived = _free_degree_split(ctx, n)
         ambient = len(center.monomials)

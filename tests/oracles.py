@@ -52,14 +52,14 @@ def rref_rank(matrix: list[list[Fraction]]) -> int:
 
 
 def basis_bracket(algebra: LieAlgebra, i: int, j: int) -> dict[int, Fraction]:
-    """Nonzero coefficients of [xi_i, xi_j], read from ``algebra.structure``."""
-    return {k: c for (a, b, k), c in algebra.structure.items() if (a, b) == (i, j)}
+    """Nonzero coefficients of [xi_i, xi_j], read from ``algebra.brackets``."""
+    return dict(algebra.brackets.get((i, j), {}))
 
 
 def ad_matrix(algebra: LieAlgebra, i: int) -> list[list[Fraction]]:
     """ad xi_i as a dense matrix: column l holds the coordinates of [xi_i, xi_l]."""
     d = algebra.dim
-    return [[algebra.structure.get((i, l, k), Fraction(0)) for l in range(d)] for k in range(d)]
+    return [[basis_bracket(algebra, i, l).get(k, Fraction(0)) for l in range(d)] for k in range(d)]
 
 
 def dense_killing_form(algebra: LieAlgebra) -> list[list[Fraction]]:
@@ -74,15 +74,18 @@ def dense_killing_form(algebra: LieAlgebra) -> list[list[Fraction]]:
 
 def dense_violations(algebra: LieAlgebra) -> list[tuple[str, tuple[int, ...], str]]:
     """(kind, indices, detail) of every antisymmetry and Jacobi violation, by
-    dense index scans over ``algebra.structure``.
+    dense index scans over ``algebra.brackets``.
 
     Antisymmetry comes first, in the lexicographic scan over (i, j, k): a
     nonzero diagonal constant at (i, i, k), and a pair i != j whose sum
     c(i,j,k) + c(j,i,k) is nonzero where the scan first meets a nonzero
-    constant of it.  Jacobi follows, by triple i < j < k, then coordinate l.
+    constant of it.  The constructor completes every table antisymmetrically,
+    so on a ``LieAlgebra`` this scan must find nothing; it stays as an
+    independent check of that invariant.  Jacobi follows, by triple
+    i < j < k, then coordinate l.
     """
     d = algebra.dim
-    c = [[[algebra.structure.get((i, j, k), Fraction(0)) for k in range(d)] for j in range(d)] for i in range(d)]
+    c = [[[basis_bracket(algebra, i, j).get(k, Fraction(0)) for k in range(d)] for j in range(d)] for i in range(d)]
     out = []
     for i, j, k in product(range(d), repeat=3):
         s = c[i][j][k] + c[j][i][k]
@@ -102,17 +105,19 @@ def dense_violations(algebra: LieAlgebra) -> list[tuple[str, tuple[int, ...], st
     return out
 
 
-def random_structure(rng: random.Random, d: int) -> dict[tuple[int, int, int], Fraction]:
-    """A raw bracket table on d basis elements: antisymmetric brackets on
-    random pairs (so Jacobi can fail), then a few arbitrary entries, which
-    may be diagonal, break antisymmetry or cancel an entry to zero."""
-    table: dict[tuple[int, int, int], Fraction] = {}
+def random_brackets(rng: random.Random, d: int) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """A raw bracket table {(i, j): {k: c}} on d basis elements: antisymmetric
+    brackets on random pairs (so Jacobi can fail), then a few arbitrary
+    entries, which may be diagonal, break antisymmetry or cancel an entry to
+    zero against a nonzero reverse."""
+    table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for _ in range(rng.randint(0, 2 * d)):
         i, j, k = rng.sample(range(d), 2) + [rng.randrange(d)]
         c = Fraction(rng.choice(COEFF_NUMERATORS), rng.choice(COEFF_DENOMINATORS))
-        table[(i, j, k)], table[(j, i, k)] = c, -c
+        table.setdefault((i, j), {})[k] = c
+        table.setdefault((j, i), {})[k] = -c
     for _ in range(rng.randint(0, 3)):
-        table[(rng.randrange(d), rng.randrange(d), rng.randrange(d))] = Fraction(rng.randint(-2, 2))
+        table.setdefault((rng.randrange(d), rng.randrange(d)), {})[rng.randrange(d)] = Fraction(rng.randint(-2, 2))
     return table
 
 

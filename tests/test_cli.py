@@ -135,6 +135,35 @@ def test_validate_reports_a_jacobi_violation(tmp_path):
     assert records[-1] == {"check": "axioms", "violations": 1, "verdict": "fail"}
 
 
+@pytest.mark.parametrize(
+    "claim",
+    [
+        ["verify", "thm2", "--relation", "z-1"],
+        ["probe", "simplicity", "--relation", "z-1", "--gen", "a"],
+        ["verify", "nilpotent-ideals", "--relation", "z"],
+        ["verify", "lemma", "--gen", "a"],
+        ["verify", "prop1"],
+    ],
+    ids=["thm2", "simplicity", "nilpotent-ideals", "lemma", "prop1"],
+)
+def test_every_claim_refuses_an_algebra_that_is_not_lie(claim, tmp_path):
+    # [a, b] = c, [b, c] = a, [c, a] = a and z central: the Jacobi sum at
+    # (a, b, c) is c, and z - 1 and z are bracket-closed relations.
+    path = tmp_path / "not_lie.json"
+    path.write_text(json.dumps({
+        "dim": 4,
+        "basis": ["a", "b", "c", "z"],
+        "brackets": [
+            {"i": "a", "j": "b", "terms": [{"k": "c", "coeff": "1"}]},
+            {"i": "b", "j": "c", "terms": [{"k": "a", "coeff": "1"}]},
+            {"i": "c", "j": "a", "terms": [{"k": "a", "coeff": "1"}]},
+        ],
+    }))
+    status, text = run([*claim, "--algebra", str(path), "--max-degree", "2"])
+    assert status == EXIT_USAGE
+    assert text == "error: not a Lie algebra: jacobi violation Jacobi sum at (0,1,2) in coordinate 2 is 1\n"
+
+
 @pytest.mark.parametrize("algebra", ["sl2r", "so3", "file"])
 def test_size_flag_rejected_for_non_heisenberg_algebras(algebra, tmp_path):
     if algebra == "file":
@@ -169,10 +198,12 @@ def test_unparseable_algebra_file_is_a_usage_error(tmp_path):
         ('{"dim":2,"basis":["x","y"],"brackets":[{"i":"x","j":"y"},{"i":"x","j":"y"}]}',
          "bracket (x, y) defined twice"),
         ('{"dim":3,"basis":["2","y z","w"]}', "basis name '2' is not a letter or '_' followed by letters"),
+        ('{"dim":"3","basis":["x","y","z"]}', "'dim' must be an integer, not '3'"),
+        ('{"dim":true,"basis":["x"]}', "'dim' must be an integer, not True"),
     ],
     ids=["entry-not-object", "brackets-not-list", "term-not-object", "name-not-string", "terms-not-list",
          "definition-not-object", "dim-missing", "basis-not-list", "basis-names-repeat", "bracket-defined-twice",
-         "basis-name-not-a-variable"],
+         "basis-name-not-a-variable", "dim-a-string", "dim-a-boolean"],
 )
 def test_malformed_algebra_file_is_a_usage_error(body, message, tmp_path, capsys):
     path = tmp_path / "malformed.json"

@@ -1,10 +1,11 @@
-"""prop1 beyond rank 1: sl3, so4 and sp4 built from matrix units.
+"""prop1 beyond rank 1: sl3, so4, sp4 and sl4 built from matrix units.
 
-By Chevalley's theorem the invariants of a semisimple algebra of rank 2
-form a polynomial ring on two generators of degrees (d1, d2), so the
-center of the free Poisson algebra has dimension [t^n] 1/((1-t^d1)(1-t^d2))
-in degree n, and the bracket span fills the rest.  The Borel subalgebra of
-sl3 is solvable and is the control that must fail.
+By Chevalley's theorem the invariants of a semisimple algebra of rank r
+form a polynomial ring on r generators of degrees (d1, ..., dr), so the
+center of the free Poisson algebra has dimension
+[t^n] 1/((1-t^d1)...(1-t^dr)) in degree n, and the bracket span fills the
+rest.  The Borel subalgebras of sl3 and sl4 are solvable and are the
+controls that must fail.
 """
 
 import json
@@ -44,25 +45,29 @@ def matrix_algebra(names, mats):
         assert pivots == list(range(len(flat))), "commutator left the span"
         return [reduced[r][-1] for r in range(len(flat))]
 
-    structure = {}
+    brackets = {}
     for i, a in enumerate(mats):
-        for j, b in enumerate(mats):
+        for j, b in enumerate(mats[i + 1:], i + 1):
             ab = [sum(a[r][t] * b[t][s] - b[r][t] * a[t][s] for t in range(n)) for r in range(n) for s in range(n)]
-            for k, c in enumerate(coordinates(ab)):
-                if c:
-                    structure[(i, j, k)] = c
-    return LieAlgebra(tuple(names), structure)
+            brackets[(i, j)] = dict(enumerate(coordinates(ab)))
+    return LieAlgebra(tuple(names), brackets)
 
 
-def sl3_matrices():
-    off = [(i, j) for i in range(3) for j in range(3) if i != j]
-    mats = [unit(3, i, j) for i, j in off]
-    mats += [combo((1, unit(3, 0, 0)), (-1, unit(3, 1, 1))), combo((1, unit(3, 1, 1)), (-1, unit(3, 2, 2)))]
-    return [f"e{i + 1}{j + 1}" for i, j in off] + ["h1", "h2"], mats
+def sl_matrices(n):
+    """Names and matrices of sl(n): the units e_ij off the diagonal, then
+    h_i = e_ii - e_(i+1)(i+1)."""
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    mats = [unit(n, i, j) for i, j in off]
+    mats += [combo((1, unit(n, i, i)), (-1, unit(n, i + 1, i + 1))) for i in range(n - 1)]
+    return [f"e{i + 1}{j + 1}" for i, j in off] + [f"h{i + 1}" for i in range(n - 1)], mats
 
 
 def sl3():
-    return matrix_algebra(*sl3_matrices())
+    return matrix_algebra(*sl_matrices(3))
+
+
+def sl4():
+    return matrix_algebra(*sl_matrices(4))
 
 
 def so4():
@@ -88,9 +93,10 @@ def sp4():
     return matrix_algebra(names, mats)
 
 
-def sl3_borel():
-    names, mats = sl3_matrices()
-    keep = [k for k, name in enumerate(names) if name in ("e12", "e13", "e23", "h1", "h2")]
+def borel(n):
+    """The upper triangular subalgebra of sl(n): the e_ij with i < j and the h_i."""
+    names, mats = sl_matrices(n)
+    keep = [k for k, name in enumerate(names) if name[0] == "h" or name[1] < name[2]]
     return matrix_algebra([names[k] for k in keep], [mats[k] for k in keep])
 
 
@@ -98,7 +104,7 @@ def rebased_sl3(seed=1, ops=3):
     """sl3 in the basis e'_a = sum_i u[a][i] e_i for a seeded unimodular
     integer matrix u, a product of ``ops`` elementary row operations, so the
     structure constants fill in as ``ops`` grows."""
-    names, mats = sl3_matrices()
+    names, mats = sl_matrices(3)
     rng = random.Random(seed)
     u = [[int(i == j) for j in range(8)] for i in range(8)]
     for _ in range(ops):
@@ -109,9 +115,13 @@ def rebased_sl3(seed=1, ops=3):
     return matrix_algebra([f"u{a}" for a in range(8)], rebased)
 
 
-def series_coefficient(n, d1, d2):
-    """[t^n] 1/((1 - t^d1)(1 - t^d2))."""
-    return sum(1 for a in range(n // d1 + 1) if (n - a * d1) % d2 == 0)
+def series_coefficient(n, *degrees):
+    """[t^n] 1/((1 - t^d1)...(1 - t^dr)): the ways to write n as a
+    non-negative combination of the degrees."""
+    if not degrees:
+        return int(n == 0)
+    d, rest = degrees[0], degrees[1:]
+    return sum(series_coefficient(n - a * d, *rest) for a in range(n // d + 1))
 
 
 @pytest.mark.parametrize(
@@ -120,13 +130,14 @@ def series_coefficient(n, d1, d2):
         (sl3, (2, 3), 5),
         (so4, (2, 2), 6),
         (sp4, (2, 4), 4),
+        (sl4, (2, 3, 4), 4),
         (rebased_sl3, (2, 3), 4),
         # non-sparse bases: with generator-major operator columns the [D | I]
         # elimination fills in, and these two take over a minute together
         (lambda: rebased_sl3(seed=2, ops=4), (2, 3), 4),
         (lambda: rebased_sl3(seed=2, ops=8), (2, 3), 4),
     ],
-    ids=["sl3", "so4", "sp4", "sl3-unimodular-basis-change", "sl3-four-operations", "sl3-eight-operations"],
+    ids=["sl3", "so4", "sp4", "sl4", "sl3-unimodular-basis-change", "sl3-four-operations", "sl3-eight-operations"],
 )
 def test_prop1_center_dims_follow_the_invariant_degrees(build, degrees, max_degree):
     algebra = build()
@@ -139,18 +150,28 @@ def test_prop1_center_dims_follow_the_invariant_degrees(build, degrees, max_degr
         assert dims["derived"] == dims["ambient"] - dims["center"]
 
 
+def test_series_coefficient_at_the_sl4_degrees():
+    assert [series_coefficient(n, 2, 3, 4) for n in range(5)] == [1, 0, 1, 1, 2]
+
+
+def test_borel_subalgebra_of_sl4_fails_prop1():
+    b = borel(4)
+    assert b.dim == 9
+    assert validate(b).ok and not is_semisimple(b)
+    assert verify_prop1(b, 2).verdict == "fail"
+
+
 def test_borel_subalgebra_of_sl3_fails_prop1(tmp_path, capsys):
-    borel = sl3_borel()
-    assert validate(borel).ok and not is_semisimple(borel)
-    assert verify_prop1(borel, 2).verdict == "fail"
-    names = borel.names
-    terms = {}
-    for (i, j, k), c in sorted(borel.structure.items()):
-        if i < j:
-            terms.setdefault((i, j), []).append({"k": names[k], "coeff": str(c)})
-    brackets = [{"i": names[i], "j": names[j], "terms": t} for (i, j), t in terms.items()]
+    b = borel(3)
+    assert validate(b).ok and not is_semisimple(b)
+    assert verify_prop1(b, 2).verdict == "fail"
+    names = b.names
+    brackets = [
+        {"i": names[i], "j": names[j], "terms": [{"k": names[k], "coeff": str(c)} for k, c in row.items()]}
+        for (i, j), row in b.brackets.items() if i < j
+    ]
     path = tmp_path / "borel.json"
-    path.write_text(json.dumps({"dim": borel.dim, "basis": list(borel.names), "brackets": brackets}))
+    path.write_text(json.dumps({"dim": b.dim, "basis": list(names), "brackets": brackets}))
     assert main(["verify", "prop1", "--algebra", str(path), "--max-degree", "2"]) == EXIT_FAIL
     assert "overall: fail" in capsys.readouterr().out
 

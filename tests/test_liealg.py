@@ -17,8 +17,9 @@ from liepoisson.liealg import (
     load_algebra,
     validate,
 )
+from liepoisson.poisson import PoissonContext
 
-from oracles import basis_bracket, dense_killing_form, dense_violations, random_structure
+from oracles import basis_bracket, dense_killing_form, dense_violations, random_brackets
 from test_higher_rank import rebased_sl3, sl3, so4, sp4
 
 F = Fraction
@@ -35,26 +36,36 @@ def test_builtins_validate_clean(name, n):
 
 
 def test_constructed_antisymmetry_violation():
-    bad = LieAlgebra(("a", "b", "c"), {(0, 1, 2): F(1), (1, 0, 2): F(1)})
-    report = validate(bad)
-    assert not report.ok
-    assert report.violations[0].kind == "antisymmetry"
-    assert report.violations[0].indices == (0, 1, 2)
+    with pytest.raises(LieAlgebraFormatError, match=r"brackets \(1, 0\) and \(0, 1\) conflict with antisymmetry"):
+        LieAlgebra(("a", "b", "c"), {(0, 1): {2: F(1)}, (1, 0): {2: F(1)}})
 
 
 def test_diagonal_bracket_violation():
-    bad = LieAlgebra(("a", "b"), {(0, 0, 1): F(1)})
-    report = validate(bad)
-    assert [v.kind for v in report.violations] == ["antisymmetry"]
+    with pytest.raises(LieAlgebraFormatError, match="nonzero bracket of basis element 0 with itself"):
+        LieAlgebra(("a", "b"), {(0, 0): {1: F(1)}})
+
+
+# antisymmetric, but [[c,a],b] = a while the other two cyclic terms vanish
+NOT_JACOBI = (("a", "b", "c"), {(0, 1): {2: 1}, (0, 2): {2: 1}, (1, 2): {0: 1}})
 
 
 def test_jacobi_violation_detected():
-    # antisymmetric, but [[c,a],b] = a while the other two cyclic terms vanish
-    bad = LieAlgebra.from_brackets(
-        ("a", "b", "c"), {(0, 1): {2: 1}, (0, 2): {2: 1}, (1, 2): {0: 1}}
-    )
-    report = validate(bad)
+    report = validate(LieAlgebra(*NOT_JACOBI))
     assert any(v.kind == "jacobi" for v in report.violations)
+
+
+def test_so3_in_either_orientation_is_the_same_algebra():
+    # the builtin's pairs (0, 1), (1, 2), (2, 0), and the same brackets on the reverse pairs
+    forward = builtin("so3")
+    reverse = LieAlgebra(("x", "y", "z"), {(1, 0): {2: -1}, (2, 1): {0: -1}, (0, 2): {1: -1}})
+    assert list(reverse.brackets.items()) == list(forward.brackets.items())
+    contexts = PoissonContext.free(forward), PoissonContext.free(reverse)
+    for i in range(3):
+        for j in range(3):
+            a, b = (ctx.bracket(ctx.variable(i), ctx.variable(j)) for ctx in contexts)
+            assert a == b
+    y, x = reverse.variable(1), reverse.variable(0)
+    assert contexts[1].bracket(y, x) == -reverse.variable(2)
 
 
 def test_sl2r_bracket_table():
@@ -121,21 +132,27 @@ def test_killing_form_and_validate_match_the_dense_oracle(build):
 
 
 def test_killing_form_and_validate_match_the_dense_oracle_on_raw_tables():
+    # tables that break antisymmetry or have a nonzero diagonal are refused
+    # when built; every other table is compared with the oracle
     rng = random.Random(20261018)
-    kinds = set()
+    kinds, built = set(), 0
     for _ in range(300):
         d = rng.randint(2, 6)
-        algebra = LieAlgebra(tuple(f"b{i}" for i in range(d)), random_structure(rng, d))
+        try:
+            algebra = LieAlgebra(tuple(f"b{i}" for i in range(d)), random_brackets(rng, d))
+        except LieAlgebraFormatError as exc:
+            kinds.add("diagonal" if "with itself" in str(exc) else "antisymmetry")
+            continue
+        built += 1
         assert_matches_dense_oracle(algebra)
         kinds.update(v.kind for v in validate(algebra).violations)
-        kinds.update("diagonal" for i, j, k in algebra.structure if i == j)
     assert kinds == {"antisymmetry", "jacobi", "diagonal"}
+    assert built >= 100
 
 
 def test_is_semisimple_rejects_invalid_algebra():
-    bad = LieAlgebra(("a", "b", "c"), {(0, 1, 2): F(1), (1, 0, 2): F(1)})
-    with pytest.raises(InvalidLieAlgebraError):
-        is_semisimple(bad)
+    with pytest.raises(InvalidLieAlgebraError, match="not a Lie algebra: jacobi violation Jacobi sum at"):
+        is_semisimple(LieAlgebra(*NOT_JACOBI))
 
 
 def test_heisenberg_shapes():
@@ -161,14 +178,20 @@ def test_builtin_errors():
         builtin("sl2r", 2)
 
 
-def test_from_brackets_conflict_detection():
+def test_reverse_pairs_must_negate():
     with pytest.raises(LieAlgebraFormatError):
-        LieAlgebra.from_brackets(("a", "b"), {(0, 1): {0: 1}, (1, 0): {0: 1}})
+        LieAlgebra(("a", "b"), {(0, 1): {0: 1}, (1, 0): {0: 1}})
     # a consistent double definition is accepted
-    L = LieAlgebra.from_brackets(("a", "b"), {(0, 1): {0: 1}, (1, 0): {0: -1}})
+    L = LieAlgebra(("a", "b"), {(0, 1): {0: 1}, (1, 0): {0: -1}})
     assert basis_bracket(L, 0, 1) == {0: F(1)}
+    # a zero bracket against a nonzero reverse conflicts too
+    for zero in ({}, {0: 0}):
+        with pytest.raises(LieAlgebraFormatError, match=r"brackets \(1, 0\) and \(0, 1\) conflict"):
+            LieAlgebra(("a", "b"), {(0, 1): zero, (1, 0): {0: 1}})
     with pytest.raises(LieAlgebraFormatError):
-        LieAlgebra.from_brackets(("a", "b"), {(0, 0): {1: 1}})
+        LieAlgebra(("a", "b"), {(0, 0): {1: 1}})
+    with pytest.raises(LieAlgebraFormatError, match=r"structure constant index \(0, 1, 2\) out of range"):
+        LieAlgebra(("a", "b"), {(0, 1): {2: 1}})
 
 
 SL2R_JSON = {
@@ -186,7 +209,7 @@ def test_json_round_trip_matches_builtin():
     L = lie_algebra_from_dict(SL2R_JSON)
     ref = builtin("sl2r")
     assert L.names == ref.names
-    assert L.structure == ref.structure
+    assert L.brackets == ref.brackets
     assert validate(L).ok
 
 
@@ -197,7 +220,6 @@ def test_json_rational_coefficients():
         "brackets": [{"i": "a", "j": "b", "terms": [{"k": "a", "coeff": "-3/2"}]}],
     }
     L = lie_algebra_from_dict(data)
-    assert L.structure == {(0, 1, 0): F(-3, 2), (1, 0, 0): F(3, 2)}
     assert L.brackets == {(0, 1): {0: F(-3, 2)}, (1, 0): {0: F(3, 2)}}
 
 
@@ -238,7 +260,7 @@ def test_grammar_names_are_accepted_as_basis_names():
 def test_load_algebra_file(tmp_path):
     path = tmp_path / "sl2r.json"
     path.write_text(json.dumps(SL2R_JSON))
-    assert load_algebra(path).structure == builtin("sl2r").structure
+    assert load_algebra(path).brackets == builtin("sl2r").brackets
 
 
 def test_load_algebra_reports_json_position(tmp_path):

@@ -134,6 +134,6 @@ def test_builtin_casimirs():
 def test_builtin_casimir_unavailable_for_user_algebras():
     from liepoisson.liealg import LieAlgebra
 
-    nameless = LieAlgebra(("a", "b", "c"), dict(SL2R.structure))
+    nameless = LieAlgebra(("a", "b", "c"), SL2R.brackets)
     with pytest.raises(ValueError):
         builtin_casimir(nameless)

@@ -60,10 +60,11 @@ def test_leibniz_defect_examples():
 
 def scaled_basis(algebra, scales):
     """The algebra in the basis s_i xi_i: c_ij^k becomes c_ij^k s_i s_j / s_k."""
-    structure = {
-        (i, j, k): c * scales[i] * scales[j] / scales[k] for (i, j, k), c in algebra.structure.items()
+    brackets = {
+        (i, j): {k: c * scales[i] * scales[j] / scales[k] for k, c in row.items()}
+        for (i, j), row in algebra.brackets.items()
     }
-    return LieAlgebra(algebra.names, structure)
+    return LieAlgebra(algebra.names, brackets)
 
 
 # sl2r in the basis (x/2, 2y/3, 3z): constants -1/9, 4 and 9/4, so the
@@ -73,7 +74,7 @@ SCALED_SL2R = scaled_basis(SL2R, (Fraction(1, 2), Fraction(2, 3), Fraction(3)))
 
 def test_scaled_sl2r_is_a_lie_algebra_with_rational_constants():
     assert validate(SCALED_SL2R).ok
-    assert {c.denominator for c in SCALED_SL2R.structure.values()} == {1, 4, 9}
+    assert {c.denominator for row in SCALED_SL2R.brackets.values() for c in row.values()} == {1, 4, 9}
 
 
 def test_cartans_criterion_holds_in_a_basis_with_rational_constants():

@@ -236,7 +236,7 @@ FREE_SPLIT_ALGEBRAS = {
     "scaled-sl2r": SCALED_SL2R,
     # the rotated sl2r of the benchmark's seed 0, e'_1 = e_1 - e_2,
     # e'_2 = e_2 + e_3, e'_3 = e_3: every structure constant is nonzero
-    "shear-sl2r": LieAlgebra.from_brackets(
+    "shear-sl2r": LieAlgebra(
         ("u", "v", "w"),
         {(0, 1): {0: -1, 1: -2, 2: 1}, (0, 2): {0: -1, 1: -2, 2: 2}, (1, 2): {0: 1, 1: 1, 2: -1}},
         "shear-sl2r",
