@@ -44,9 +44,7 @@ def _resolve_algebra(args: Args) -> LieAlgebra:
         return builtin("heisenberg", args.n if args.n is not None else 1)
     path = Path(args.algebra)
     if not path.exists():
-        raise UsageError(
-            f"'{args.algebra}' is not a built-in algebra (sl2r, so3, heisenberg) or a readable file"
-        )
+        raise UsageError(f"'{args.algebra}' is not a built-in algebra (sl2r, so3, heisenberg) or a readable file")
     return load_algebra(path)
 
 
@@ -77,9 +75,7 @@ def _validate(args: Args) -> VerificationReport:
     )
     result = validate(algebra)
     for v in result.violations:
-        report.records.append(
-            {"check": v.kind, "indices": list(v.indices), "detail": v.detail, "verdict": "fail"}
-        )
+        report.records.append({"check": v.kind, "indices": list(v.indices), "detail": v.detail, "verdict": "fail"})
     report.records.append(
         {"check": "axioms", "violations": len(result.violations),
          "verdict": "pass" if result.ok else "fail"}
@@ -87,8 +83,9 @@ def _validate(args: Args) -> VerificationReport:
     if result.ok:  # is_semisimple's rank test on the matrix reported, without validating again
         killing = killing_form(algebra)
         matrix = [[str(a) for a in row] for row in killing]
+        semisimple = nondegenerate([{j: a for j, a in enumerate(row) if a} for row in killing])
         report.records.append(
-            {"check": "killing_form", "semisimple": nondegenerate(killing), "matrix": matrix, "verdict": "pass"}
+            {"check": "killing_form", "semisimple": semisimple, "matrix": matrix, "verdict": "pass"}
         )
     return report
 

@@ -129,18 +129,25 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
     return report
 
 
-def killing_form(algebra: LieAlgebra) -> list[list[Fraction]]:
-    """Killing matrix B[i][j] = trace(ad xi_i composed with ad xi_j), the sum
-    of c(i,l,k) c(j,k,l) over the nonzero constants c(i,l,k) and c(j,k,l)."""
-    d = algebra.dim
-    b = [[Fraction(0)] * d for _ in range(d)]
+def killing_rows(algebra: LieAlgebra) -> list[dict[int, Fraction]]:
+    """Sparse rows of the Killing matrix B[i][j] = trace(ad xi_i ad xi_j), the sum of
+    c(i,l,k) c(j,k,l) over the nonzero constants, each c(i,l,k) read with its partners."""
+    partners: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    for (j, k), row in algebra.brackets.items():
+        for l, c in row.items():
+            partners.setdefault((k, l), []).append((j, c))
+    rows: list[dict[int, Fraction]] = [{} for _ in range(algebra.dim)]
     for (i, l), row in algebra.brackets.items():
         for k, c in row.items():
-            for j in range(d):
-                c2 = algebra.brackets.get((j, k), {}).get(l)
-                if c2:
-                    b[i][j] += c * c2
-    return b
+            for j, c2 in partners.get((k, l), ()):
+                rows[i][j] = rows[i].get(j, 0) + c * c2
+    return rows
+
+
+def killing_form(algebra: LieAlgebra) -> list[list[Fraction]]:
+    """The dense Killing matrix, from ``killing_rows``, as ``validate`` reports print it."""
+    zero = Fraction(0)
+    return [[row.get(j, zero) for j in range(algebra.dim)] for row in killing_rows(algebra)]
 
 
 def require_lie(algebra: LieAlgebra) -> None:
@@ -158,17 +165,17 @@ def is_semisimple(algebra: LieAlgebra) -> bool:
     Requires a valid algebra; raises InvalidLieAlgebraError otherwise.
     """
     require_lie(algebra)
-    return nondegenerate(killing_form(algebra))
+    return nondegenerate(killing_rows(algebra))
 
 
-def nondegenerate(matrix: list[list[Fraction]]) -> bool:
-    """Whether a square rational matrix has full rank; each row enters a
-    ``RowBasis`` scaled by the lcm of its denominators."""
-    rows = RowBasis(len(matrix))
-    for row in matrix:
-        scale = lcm(*(a.denominator for a in row))
-        rows.insert([(j, a.numerator * (scale // a.denominator)) for j, a in enumerate(row) if a])
-    return rows.rank == len(matrix)
+def nondegenerate(rows: list[Mapping[int, Fraction]]) -> bool:
+    """Whether a square rational matrix, given by sparse rows {column: entry}, has
+    full rank; each row enters a ``RowBasis`` scaled by the lcm of its denominators."""
+    basis = RowBasis(len(rows))
+    for row in rows:
+        scale = lcm(*(a.denominator for a in row.values()))
+        basis.insert([(j, a.numerator * (scale // a.denominator)) for j, a in row.items() if a])
+    return basis.rank == len(rows)
 
 
 def builtin(name: str, n: int | None = None) -> LieAlgebra:
@@ -181,17 +188,9 @@ def builtin(name: str, n: int | None = None) -> LieAlgebra:
     if name in ("sl2r", "so3") and n is not None:
         raise LieAlgebraFormatError(f"{name} does not take a size parameter")
     if name == "sl2r":
-        return LieAlgebra(
-            ("x", "y", "z"),
-            {(1, 2): {0: 1}, (2, 0): {1: 1}, (0, 1): {2: -1}},
-            name="sl2r",
-        )
+        return LieAlgebra(("x", "y", "z"), {(1, 2): {0: 1}, (2, 0): {1: 1}, (0, 1): {2: -1}}, name="sl2r")
     if name == "so3":
-        return LieAlgebra(
-            ("x", "y", "z"),
-            {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}},
-            name="so3",
-        )
+        return LieAlgebra(("x", "y", "z"), {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}}, name="so3")
     if name == "heisenberg":
         if n is None or n < 1:
             raise LieAlgebraFormatError("heisenberg requires a size n >= 1")
@@ -261,9 +260,7 @@ def lie_algebra_from_dict(data: dict) -> LieAlgebra:
                 raise LieAlgebraFormatError(f"bad coefficient {t.get('coeff')!r}: {exc}") from None
             terms[k] = terms.get(k, Fraction(0)) + coeff
         if (i, j) in brackets:
-            raise LieAlgebraFormatError(
-                f"bracket ({entry['i']}, {entry['j']}) defined twice"
-            )
+            raise LieAlgebraFormatError(f"bracket ({entry['i']}, {entry['j']}) defined twice")
         brackets[(i, j)] = terms
     return LieAlgebra(tuple(basis), brackets)
 

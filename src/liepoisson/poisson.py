@@ -1,34 +1,37 @@
 """The Lie-Poisson bracket on polynomial algebras and its quotients.
 
 On linear functions the bracket is the Lie bracket of the underlying
-algebra; it extends to all polynomials by the Leibniz rule, which gives the
-closed bidifferential formula
+algebra; it extends to all polynomials by the Leibniz rule:
 
-    {f, g} = sum_{i<j} (df/dxi_i dg/dxi_j - df/dxi_j dg/dxi_i) [xi_i, xi_j].
+    {f, g} = sum over ordered pairs (i, j) of df/dxi_i dg/dxi_j [xi_i, xi_j].
 
 A context is either the free polynomial algebra or its quotient by a
 principal orbit ideal; quotient contexts reduce every result to normal
 form and refuse relations whose bracket with some generator does not
 vanish modulo the ideal (those do not generate Poisson ideals).
 
-The formula is evaluated term by term through the derivation table: for
-monomials x^a, x^b and each pair i < j with [xi_i, xi_j] = sum_k c_ij^k xi_k,
-
-    {x^a, x^b} gets (a_i b_j - a_j b_i) c_ij^k  at  x^(a + b - e_i - e_j + e_k),
-
-with coefficients kept as integer numerators: the structure constants
-over one common denominator, times the operands' numerators, over the
-product of the three denominators.
+The bracket reads a per-generator table: ``ad[i]`` lists each j with
+[xi_i, xi_j] = sum_k c_ij^k xi_k != 0, with its (E_k - E_i - E_j, c_ij^k)
+for E_k the packed key of x_k (see ``poly``).  For a term a x^m of f, each
+nonzero exponent m_i (read from the nonzero fields of m only), each j in
+``ad[i]`` and each term b x^w of g with w_j != 0, the bracket gets
+m_i w_j a b c_ij^k at the key m + w + (E_k - E_i - E_j): one integer
+addition per target monomial.  So a linear first factor {x_i, g}, as in
+every bracket span and the center's operator, reads only ``ad[i]``.
+Coefficients stay integer numerators: the structure constants over one
+common denominator, times the operands' numerators, over the product of
+the three denominators.
 """
 
 from __future__ import annotations
 
 from math import lcm
-from operator import add
 from typing import TYPE_CHECKING
 
 from .liealg import LieAlgebra, require_lie
-from .poly import Monomial, Polynomial, format_polynomial, monomials_of_degree, parse_polynomial
+from .poly import (
+    EXPONENT_CAP, FIELD_BITS, FIELD_MASK, Polynomial, format_polynomial, monomials_of_degree, pack, parse_polynomial
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .orbit import OrbitIdeal
@@ -38,9 +41,7 @@ class BracketClosureError(ValueError):
     """The quotient relation is not closed under brackets with generators."""
 
     def __init__(self, generator: str, residual: str):
-        super().__init__(
-            f"relation is not bracket-closed: {{relation, {generator}}} reduces to {residual}, not 0"
-        )
+        super().__init__(f"relation is not bracket-closed: {{relation, {generator}}} reduces to {residual}, not 0")
         self.generator = generator
         self.residual = residual
 
@@ -60,14 +61,16 @@ class PoissonContext:
         require_lie(algebra)
         self.algebra = algebra
         self.ideal = ideal
-        self.nvars = algebra.dim
-        pairs = [(i, j, row) for (i, j), row in algebra.brackets.items() if i < j]
-        self._den = lcm(*(c.denominator for _, _, row in pairs for c in row.values()))
-        # derivation table: (i, j, [(k, c_ij^k * den), ...]) for each pair i < j with [xi_i, xi_j] != 0
-        self._table = [
-            (i, j, [(k, c.numerator * (self._den // c.denominator)) for k, c in row.items()]) for i, j, row in pairs
-        ]
-        self._monomial_cache: dict[int, tuple[Monomial, ...]] = {}
+        self.nvars = n = algebra.dim
+        self._den = lcm(*(c.denominator for row in algebra.brackets.values() for c in row.values()))
+        # ad[i]: (j, [(E_k - E_i - E_j, c_ij^k * den), ...]) for each j with [xi_i, xi_j] != 0
+        unit = [1 << FIELD_BITS * i for i in range(n + 1)]  # the degree field's unit last
+        self._ad: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in range(n)]
+        for (i, j), row in algebra.brackets.items():
+            delta = unit[i] + unit[j] + unit[n]
+            deltas = [(unit[k] - delta, c.numerator * (self._den // c.denominator)) for k, c in row.items()]
+            self._ad[i].append((j, deltas))
+        self._monomial_cache: dict[int, tuple[int, ...]] = {}
         if ideal is not None:
             if ideal.relation.nvars != algebra.dim:
                 raise ValueError("relation does not match the algebra's variable count")
@@ -87,6 +90,10 @@ class PoissonContext:
     def variable(self, i: int) -> Polynomial:
         return self.algebra.variable(i)
 
+    def monomial(self, key: int) -> Polynomial:
+        """The monomial of a packed key, as ``basis_monomials`` gives them."""
+        return Polynomial.from_numerators(self.nvars, {key: 1}, 1)
+
     def parse(self, text: str) -> Polynomial:
         return parse_polynomial(text, self.algebra.names)
 
@@ -103,59 +110,52 @@ class PoissonContext:
         """Lie-Poisson bracket, reduced to normal form in quotient mode."""
         if f.nvars != self.nvars or g.nvars != self.nvars:
             raise ValueError("polynomials do not match the context's variables")
-        acc: dict[Monomial, int] = {}
+        n, ad, g_terms = self.nvars, self._ad, g.num.items()
+        acc: dict[int, int] = {}
         get = acc.get
+        below_degree = (1 << FIELD_BITS * n) - 1
         for ma, ca in f.num.items():
-            for mb, cb in g.num.items():
-                cab = ca * cb
-                s = list(map(add, ma, mb))
-                for i, j, row in self._table:
-                    w = ma[i] * mb[j] - ma[j] * mb[i]
-                    if w:
-                        w *= cab
-                        s[i] -= 1
-                        s[j] -= 1
-                        for k, c in row:
-                            s[k] += 1
-                            m = tuple(s)
-                            s[k] -= 1
-                            acc[m] = get(m, 0) + w * c
-                        s[i] += 1
-                        s[j] += 1
+            rest = ma & below_degree
+            while rest:  # the nonzero exponent fields e = m_i of ma, from the top
+                i = (rest.bit_length() - 1) // FIELD_BITS
+                e = rest >> FIELD_BITS * i
+                rest -= e << FIELD_BITS * i
+                for j, deltas in ad[i]:
+                    shift = FIELD_BITS * j
+                    for mb, cb in g_terms:
+                        if b := mb >> shift & FIELD_MASK:
+                            m0, w = ma + mb, e * b * ca * cb
+                            for delta, c in deltas:
+                                m = m0 + delta
+                                acc[m] = get(m, 0) + w * c
+        if acc and (degree := max(acc) >> FIELD_BITS * n) > EXPONENT_CAP:
+            raise ValueError(f"a bracket of degree {degree} exceeds the cap {EXPONENT_CAP}")
         den = f.den * g.den * self._den
         if self.ideal is None:
             return Polynomial.from_numerators(self.nvars, acc, den)
         return self.ideal.reduce_numerators(acc, den)
 
-    def basis_monomials(self, degree: int) -> tuple[Monomial, ...]:
-        """Canonical monomials of the given degree, descending in the order.
+    def basis_monomials(self, degree: int) -> tuple[int, ...]:
+        """Keys of the canonical monomials of the given degree, descending.
 
         In quotient mode only normal-form monomials (those not divisible by
         the relation's leading monomial) are returned, so they enumerate a
         basis of the quotient's degree-``degree`` coefficient space.
         """
-        cached = self._monomial_cache.get(degree)
-        if cached is None:
-            mons = monomials_of_degree(self.nvars, degree)
-            if self.ideal is not None:
-                mons = [m for m in mons if not self.ideal.divisible(m)]
-            cached = tuple(mons)
-            self._monomial_cache[degree] = cached
-        return cached
+        if degree not in self._monomial_cache:
+            mons = (pack(m) for m in monomials_of_degree(self.nvars, degree))
+            self._monomial_cache[degree] = tuple(m for m in mons if self.ideal is None or not self.ideal.divisible(m))
+        return self._monomial_cache[degree]
 
-    def basis_monomials_up_to(self, degree: int) -> tuple[Monomial, ...]:
-        """Canonical monomials of degree at most ``degree``, descending in the
-        order: the graded order puts higher degrees first."""
+    def basis_monomials_up_to(self, degree: int) -> tuple[int, ...]:
+        """Keys of the canonical monomials of degree at most ``degree``,
+        descending: the graded order puts higher degrees first."""
         return tuple(m for d in range(degree, -1, -1) for m in self.basis_monomials(d))
 
 
 def jacobi_defect(ctx: PoissonContext, f: Polynomial, g: Polynomial, h: Polynomial) -> Polynomial:
     """{f,{g,h}} + {g,{h,f}} + {h,{f,g}}; exactly zero for a Poisson bracket."""
-    return (
-        ctx.bracket(f, ctx.bracket(g, h))
-        + ctx.bracket(g, ctx.bracket(h, f))
-        + ctx.bracket(h, ctx.bracket(f, g))
-    )
+    return ctx.bracket(f, ctx.bracket(g, h)) + ctx.bracket(g, ctx.bracket(h, f)) + ctx.bracket(h, ctx.bracket(f, g))
 
 
 def leibniz_defect(

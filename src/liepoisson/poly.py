@@ -1,32 +1,35 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial maps exponent tuples to nonzero rational coefficients; the
-zero polynomial has no terms, and equality is structural.  The module
-also provides single-divisor normal forms, monomial enumeration, an
-expression parser, and a matching pretty-printer.
+A polynomial maps monomials to nonzero rational coefficients, stored as
+integer numerators over one positive denominator with no common factor, so
+arithmetic and normal forms work on Python ints, divide out one gcd per
+result, and equality is structural.  The module also provides
+single-divisor normal forms, monomial enumeration, an expression parser
+and a matching printer.
 
-Monomials are ordered by one fixed graded lexicographic order: total
-degree first, then exponents read from the last variable to the first, so
-the variable named last ranks highest.  The order only picks which
-monomials stand for a basis of a quotient: modulo one divisor the normal
-form is the unique remainder under any order, so no verdict depends on it.
+Inside the package a monomial in n variables is one int, its packed
+exponent vector (Monagan and Pearce, CASC 2007): n + 1 fields of
+``FIELD_BITS = 16`` bits, the exponent of x_i in field i (x_0 lowest) and
+the total degree in the top field.  Integer order is then the package's
+graded lexicographic order: degree, then exponents from the last variable
+to the first.  (It only picks which monomials stand for a basis of a
+quotient, since a normal form modulo one divisor is unique.)  Monomials
+multiply by adding keys.  The top bit of each field is a guard bit, so
+exponents and degrees are capped at ``EXPONENT_CAP = 2**15 - 1``: no field
+of a sum of two keys carries into the next, and x^a divides x^b exactly
+when ``b - a`` has no guard bit set (a borrow sets the guard bit of the
+lowest field where a exceeds b).  Monomials come in as exponent tuples,
+and the constructor and the parser refuse one past the cap; ``terms``,
+``sorted_terms``, ``leading_term`` and the printer give tuples and
+``Fraction`` coefficients.  ``num`` and ``from_numerators`` use keys.
 
-A polynomial stores its coefficients as integer numerators over one
-positive denominator, with no common factor, so sums, products, graded
-components and normal forms add and multiply Python ints and divide out
-one gcd per result; ``Fraction`` values appear only where coefficients are
-read out (``terms``, ``sorted_terms``, ``leading_term``) or come in
-(the constructor and scalars).
-
-Normal forms modulo one divisor d = lc * x^lm + tail are linear, so a
-``Reducer`` memoizes the normal form of every reducible monomial it meets.
-For m = u + lm,
+Normal forms modulo d = lc * x^lm + tail are linear, so a ``Reducer``
+memoizes that of every reducible monomial it meets.  For m = u + lm,
 
     nf(x^m) = sum over tail terms c * x^t of -(c / lc) * nf(x^(u + t)),
 
 where nf(x^w) = x^w unless lm divides w.  Each x^(u + t) is smaller than
-x^m in the order, so the recursion ends; it is evaluated with an explicit
-stack, so its depth is not bounded by Python's recursion limit.
+x^m, so the recursion ends; it runs on an explicit stack.
 """
 
 from __future__ import annotations
@@ -35,57 +38,67 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
 from typing import Mapping, Sequence
 
 Monomial = tuple[int, ...]
 
+FIELD_BITS = 16
+EXPONENT_CAP = (1 << FIELD_BITS - 1) - 1
+FIELD_MASK = (1 << FIELD_BITS) - 1
+
 _SCALAR_TYPES = (int, Fraction)
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
+def pack(m: Monomial) -> int:
+    """The key of the exponent tuple ``m``.  Raises ValueError on a negative
+    exponent, and on a degree past EXPONENT_CAP, which bounds every exponent."""
+    if min(m, default=0) < 0:
+        raise ValueError(f"negative exponent in monomial {tuple(m)}")
+    key = sum(m)
+    if key > EXPONENT_CAP:
+        raise ValueError(f"a monomial of degree {key} exceeds the exponent and degree cap {EXPONENT_CAP}")
+    for e in reversed(m):
+        key = key << FIELD_BITS | e
+    return key
 
 
-def _graded_lex(m: Monomial) -> tuple[int, Monomial]:
-    """Sort key of the graded lexicographic order."""
-    return sum(m), m[::-1]
+def unpack(key: int, nvars: int) -> Monomial:
+    """The exponent tuple of the key of a monomial in ``nvars`` variables."""
+    return tuple(key >> FIELD_BITS * i & FIELD_MASK for i in range(nvars))
 
 
 class Polynomial:
     """A sparse polynomial in ``nvars`` variables over the rationals.
 
-    The coefficients are integer numerators ``num`` (monomial to nonzero
-    int) over one denominator ``den``, kept canonical: ``den > 0`` and
-    ``gcd(den, *num.values()) == 1``, so the zero polynomial is ``{}`` over
-    1 and equality is structural.  ``terms`` renders the coefficients as
-    ``Fraction`` values in a new dict; changing that dict leaves the
-    polynomial unchanged.
+    The coefficients are integer numerators ``num`` (monomial key to
+    nonzero int) over one denominator ``den``, kept canonical: ``den > 0``
+    and ``gcd(den, *num.values()) == 1``, so the zero polynomial is ``{}``
+    over 1 and equality is structural.  ``terms`` renders the coefficients
+    as ``Fraction`` values, keyed by exponent tuples, in a new dict;
+    changing that dict leaves the polynomial unchanged.
     """
 
     __slots__ = ("nvars", "num", "den")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, Fraction | int] | None = None):
         self.nvars = nvars
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                if len(m) != nvars:
-                    raise ValueError(f"monomial {m} does not have {nvars} exponents")
-                if any(e < 0 for e in m):
-                    raise ValueError(f"negative exponent in monomial {m}")
-                c = Fraction(c)
-                if c:
-                    clean[tuple(m)] = c
+        clean: dict[int, Fraction] = {}
+        for m, c in (terms or {}).items():
+            if len(m) != nvars:
+                raise ValueError(f"monomial {m} does not have {nvars} exponents")
+            key, c = pack(m), c if type(c) is Fraction else Fraction(c)
+            if c:
+                clean[key] = c
         # each c is in lowest terms, so the numerators over the lcm share no factor with it
         self.den = lcm(*(c.denominator for c in clean.values()))
         self.num = {m: c.numerator * (self.den // c.denominator) for m, c in clean.items()}
 
     @classmethod
-    def from_numerators(cls, nvars: int, num: Mapping[Monomial, int], den: int) -> "Polynomial":
-        """The polynomial with coefficients ``num[m] / den``, for integer
-        ``num`` values and a nonzero integer ``den``: zero numerators are
-        dropped, the common factor is divided out and ``den`` made positive."""
+    def from_numerators(cls, nvars: int, num: Mapping[int, int], den: int) -> "Polynomial":
+        """The polynomial with coefficients ``num[m] / den``, for monomial keys
+        ``m``, integer ``num`` values and a nonzero integer ``den``: zero
+        numerators are dropped, the common factor is divided out and ``den``
+        made positive."""
         nonzero = {m: a for m, a in num.items() if a}
         g = gcd(den, *nonzero.values())
         if den < 0:
@@ -99,8 +112,8 @@ class Polynomial:
     @property
     def terms(self) -> dict[Monomial, Fraction]:
         """The coefficients as ``Fraction`` values, in a new dict."""
-        den = self.den
-        return {m: Fraction(a, den) for m, a in self.num.items()}
+        den, n = self.den, self.nvars
+        return {unpack(m, n): Fraction(a, den) for m, a in self.num.items()}
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
@@ -108,15 +121,14 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, value: Fraction | int) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        value = Fraction(value)
+        return cls.from_numerators(nvars, {0: value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls.from_numerators(nvars, {1 << FIELD_BITS * index | 1 << FIELD_BITS * nvars: 1}, 1)
 
     @classmethod
     def monomial(cls, nvars: int, m: Monomial, coeff: Fraction | int = 1) -> "Polynomial":
@@ -190,56 +202,59 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc: dict[Monomial, int] = {}
+        acc: dict[int, int] = {}
         get = acc.get
         for ma, ca in self.num.items():
             for mb, cb in other.num.items():
-                m = tuple(map(add, ma, mb))
+                m = ma + mb
                 acc[m] = get(m, 0) + ca * cb
+        # the fields of a sum of two keys do not carry, so its top field is the product's degree
+        if acc and (degree := max(acc) >> FIELD_BITS * self.nvars) > EXPONENT_CAP:
+            raise ValueError(f"a product of degree {degree} exceeds the cap {EXPONENT_CAP}")
         return Polynomial.from_numerators(self.nvars, acc, self.den * other.den)
 
     __rmul__ = __mul__
 
     def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
+        """Total degree; -1 for the zero polynomial.  The largest key has it."""
         if not self.num:
             return -1
-        return max(monomial_degree(m) for m in self.num)
+        return max(self.num) >> FIELD_BITS * self.nvars
 
     def is_homogeneous(self) -> bool:
-        degs = {monomial_degree(m) for m in self.num}
-        return len(degs) <= 1
+        shift = FIELD_BITS * self.nvars
+        return len({m >> shift for m in self.num}) <= 1
 
     def constant_term(self) -> Fraction:
-        return Fraction(self.num.get((0,) * self.nvars, 0), self.den)
+        return Fraction(self.num.get(0, 0), self.den)
 
     def graded_component(self, n: int) -> "Polynomial":
         """Sum of the terms of total degree exactly ``n``."""
         if n < 0:
             raise ValueError("degree must be non-negative")
-        part = {m: a for m, a in self.num.items() if monomial_degree(m) == n}
+        shift = FIELD_BITS * self.nvars
+        part = {m: a for m, a in self.num.items() if m >> shift == n}
         return Polynomial.from_numerators(self.nvars, part, self.den)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in descending monomial order (canonical enumeration)."""
-        ordered = sorted(self.num, key=_graded_lex, reverse=True)
-        return [(m, Fraction(self.num[m], self.den)) for m in ordered]
+        return [(unpack(m, self.nvars), Fraction(self.num[m], self.den)) for m in sorted(self.num, reverse=True)]
 
     def leading_term(self) -> tuple[Monomial, Fraction]:
         if not self.num:
             raise ValueError("the zero polynomial has no leading term")
-        m = max(self.num, key=_graded_lex)
-        return m, Fraction(self.num[m], self.den)
+        m = max(self.num)
+        return unpack(m, self.nvars), Fraction(self.num[m], self.den)
 
     def __repr__(self) -> str:
         names = tuple(f"x{i}" for i in range(self.nvars))
         return f"Polynomial({format_polynomial(self, names)!r})"
 
 
-def _combine(parts) -> tuple[dict[Monomial, int], int]:
+def _combine(parts) -> tuple[dict[int, int], int]:
     """Sum of ``n * num / d`` over ``parts`` as numerators over ``scale``, the lcm of the d."""
     scale = lcm(*(d for _, (_, d) in parts))
-    acc: dict[Monomial, int] = {}
+    acc: dict[int, int] = {}
     get = acc.get
     for n, (num, d) in parts:
         s = n * (scale // d)
@@ -251,43 +266,38 @@ def _combine(parts) -> tuple[dict[Monomial, int], int]:
 class Reducer:
     """Normal forms modulo one nonzero divisor, memoized per monomial.
 
-    The memo maps each reducible monomial met so far to its normal form,
-    kept as integer numerators over one denominator.  It only grows, and
-    results do not depend on which polynomials were reduced before.
+    The memo maps each reducible monomial key met so far to its normal
+    form, kept as integer numerators over one denominator.  It only grows,
+    and results do not depend on which polynomials were reduced before.
     """
 
     def __init__(self, divisor: Polynomial):
         if not divisor:
             raise ValueError("cannot reduce modulo the zero polynomial")
         self.nvars = divisor.nvars
-        lm = divisor.leading_term()[0]
-        self.leading_monomial = lm
-        # lm divides m exactly when m[i] >= e for these (i, e)
-        self._lm_support = [(i, e) for i, e in enumerate(lm) if e]
+        self._lm = lm = max(divisor.num)
+        self._guards = sum(1 << FIELD_BITS * i + FIELD_BITS - 1 for i in range(self.nvars + 1))
         # x^lm = sum over the tail of -(c_t / c_lm) x^t, as numerators over
         # self._den = c_lm; a negative one is made positive in each result
         self._tail = {t: -c for t, c in divisor.num.items() if t != lm}
         self._den = divisor.num[lm]
-        self._memo: dict[Monomial, tuple[dict[Monomial, int], int]] = {}
+        self._memo: dict[int, tuple[dict[int, int], int]] = {}
 
-    def divisible(self, m: Monomial) -> bool:
-        """Whether the leading monomial divides ``m``."""
-        for i, e in self._lm_support:
-            if m[i] < e:
-                return False
-        return True
+    def divisible(self, m: int) -> bool:
+        """Whether the leading monomial divides the monomial of key ``m``."""
+        return not (m - self._lm) & self._guards
 
-    def _monomial_nf(self, m: Monomial) -> tuple[dict[Monomial, int], int]:
-        memo = self._memo
+    def _monomial_nf(self, m: int) -> tuple[dict[int, int], int]:
+        memo, lm, guards = self._memo, self._lm, self._guards
         stack = [m]
         while stack:
             top = stack[-1]
             if top in memo:
                 stack.pop()
                 continue
-            u = tuple(map(sub, top, self.leading_monomial))
-            children = [(tuple(map(add, u, t)), n) for t, n in self._tail.items()]
-            missing = [w for w, _ in children if w not in memo and self.divisible(w)]
+            u = top - lm
+            children = [(u + t, n) for t, n in self._tail.items()]
+            missing = [w for w, _ in children if w not in memo and not (w - lm) & guards]
             if missing:
                 stack.extend(missing)
                 continue
@@ -303,22 +313,18 @@ class Reducer:
         """The unique remainder of ``f``: no monomial is divisible by the leading one."""
         if f.nvars != self.nvars:
             raise ValueError("polynomials have different variable counts")
-        reducible = [m for m in f.num if self.divisible(m)]
-        if not reducible:
-            return f
-        return self._remainder(f.num, f.den, reducible)
+        return self.reduce_numerators(f.num, f.den)
 
-    def reduce_numerators(self, num: Mapping[Monomial, int], den: int) -> Polynomial:
+    def reduce_numerators(self, num: Mapping[int, int], den: int) -> Polynomial:
         """The remainder of the polynomial with coefficients ``num[m] / den``,
         as ``Polynomial.from_numerators`` takes them (zero numerators allowed,
         any common factor, ``den`` nonzero); the result is made canonical once."""
-        return self._remainder(num, den, [m for m, a in num.items() if a and self.divisible(m)])
-
-    def _remainder(self, num: Mapping[Monomial, int], den: int, reducible: list[Monomial]) -> Polynomial:
+        lm, guards = self._lm, self._guards
+        reducible = [m for m, a in num.items() if a and not (m - lm) & guards]
         if not reducible:
             return Polynomial.from_numerators(self.nvars, num, den)
-        num = dict(num)
-        parts = [(num.pop(m), self._monomial_nf(m)) for m in reducible]
+        num, memo = dict(num), self._memo
+        parts = [(num.pop(m), memo[m] if m in memo else self._monomial_nf(m)) for m in reducible]
         acc, scale = _combine(parts + [(1, (num, 1))])
         return Polynomial.from_numerators(self.nvars, acc, den * scale)
 
@@ -374,8 +380,9 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
 
     An integer is a run of decimal digits, and a name is a letter or '_'
     followed by letters, digits or '_'.  Whitespace between tokens is
-    insignificant; exponents are non-negative integers.  Malformed text
-    raises PolynomialSyntaxError at the offending position.
+    insignificant; exponents are non-negative integers, and a term's degree
+    is at most EXPONENT_CAP.  Malformed text raises PolynomialSyntaxError at
+    the offending position.
     """
     if len(set(names)) != len(names):
         raise ValueError("variable names must be distinct")
@@ -418,6 +425,8 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
                 exp = integer(k + 2)[1]
                 k += 2
             exps[index[tok]] += exp
+            if sum(exps) > EXPONENT_CAP:
+                raise PolynomialSyntaxError(f"degree {sum(exps)} exceeds the cap {EXPONENT_CAP}", pos)
         else:
             raise PolynomialSyntaxError("expected a number or a variable", pos)
         pos, tok = tokens[k + 1]
@@ -444,11 +453,7 @@ def format_polynomial(p: Polynomial, names: Sequence[str]) -> str:
         return "0"
     parts: list[str] = []
     for k, (m, c) in enumerate(p.sorted_terms()):
-        factors = [
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(names, m)
-            if e
-        ]
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, m) if e]
         mag = abs(c)
         if not factors:
             body = str(mag)

@@ -4,7 +4,8 @@ Every operation here verifies a finite-dimensional projection of an
 algebraic statement, and verdicts are always relative to the stated degree
 or source bound.  Each bounded subspace is a ``Span``: a fixed tuple of
 canonical monomials and one exact ``RowBasis`` over their coefficients.
-``Span.vector`` is the only map from a ``Polynomial`` to coordinates;
+``Span.vector`` is the only map from a ``Polynomial`` to coordinates (both
+key monomials by packed int, as ``PoissonContext.basis_monomials`` does);
 ``insert`` and ``contains`` take polynomials, and ``basis`` reads the
 canonical reduced echelon basis back as polynomials.  A claim's subspace is
 returned as the ``Span`` that built it (``derived_span``,
@@ -27,13 +28,13 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .liealg import LieAlgebra, killing_form, nondegenerate
+from .liealg import LieAlgebra, killing_rows, nondegenerate
 # nullspace, reduce_vector, row_space_intersection and solve_linear are not
 # called here: they are bound only because perfbench/spans.py wraps them here.
 from .linalg import Pairs, RowBasis, nullspace, reduce_vector, row_space_intersection, solve_linear
 from .orbit import OrbitDescriptor, OrbitType, builtin_casimir
 from .poisson import PoissonContext
-from .poly import Monomial, Polynomial, monomial_degree
+from .poly import EXPONENT_CAP, Polynomial
 
 
 class Membership(Enum):
@@ -44,12 +45,14 @@ class Membership(Enum):
 class Span:
     """A growing subspace of the polynomials supported on fixed monomials.
 
-    ``monomials`` fixes the coordinate order; ``rows`` is the exact row
-    space of the coefficient vectors inserted so far.
+    ``monomials``, keys of monomials in ``nvars`` variables, fix the
+    coordinate order; ``rows`` is the exact row space of the coefficient
+    vectors inserted so far.
     """
 
-    def __init__(self, monomials: Iterable[Monomial]):
+    def __init__(self, monomials: Iterable[int], nvars: int):
         self.monomials = tuple(monomials)
+        self.nvars = nvars
         self._index = {m: i for i, m in enumerate(self.monomials)}
         self.rows = RowBasis(len(self.monomials))
 
@@ -81,26 +84,33 @@ class Span:
 
     def basis(self) -> list[Polynomial]:
         """Canonical reduced echelon basis, one polynomial per pivot monomial."""
-        return _polynomials(self.monomials, self.rows)
+        return _polynomials(self.nvars, self.monomials, self.rows)
 
     def is_graded(self) -> bool:
         """Whether the span is the direct sum of its degree components, that
         is, whether every degree component of every basis polynomial lies in
         it (taking a component is linear, so any spanning set would do)."""
         return all(
-            self.contains(p.graded_component(d))
-            for p in self.basis()
-            for d in {monomial_degree(m) for m in p.num}
+            self.contains(c) for p in self.basis() for d in range(p.degree() + 1) if (c := p.graded_component(d))
         )
 
 
-def _polynomials(monomials: Sequence[Monomial], rows: RowBasis) -> list[Polynomial]:
+def _polynomials(nvars: int, monomials: Sequence[int], rows: RowBasis) -> list[Polynomial]:
     """The reduced echelon rows of ``rows`` as polynomials over ``monomials``:
     each back-substituted row is the numerators over its pivot entry."""
     return [
-        Polynomial.from_numerators(len(monomials[p]), {monomials[j]: a for j, a in row.items()}, row[p])
+        Polynomial.from_numerators(nvars, {monomials[j]: a for j, a in row.items()}, row[p])
         for p, row in rows.rref().items()
     ]
+
+
+def _check_bound(name: str, value: int, reach: int = 0) -> None:
+    """Refuse a negative bound, and one at which a claim's results, of degree
+    at most ``value + reach``, could pass the cap of a packed exponent."""
+    if value < 0:
+        raise ValueError(f"the bound {name} must be non-negative, got {value}")
+    if value + reach > EXPONENT_CAP:
+        raise ValueError(f"the bound {name}={value} reaches degree {value + reach}, past the cap {EXPONENT_CAP}")
 
 
 def _free_degree_split(ctx: PoissonContext, degree: int) -> tuple[Span, Span]:
@@ -115,13 +125,13 @@ def _free_degree_split(ctx: PoissonContext, degree: int) -> tuple[Span, Span]:
     together, where generator-major columns fill in the identity block.
     The derived slice, the span of the {x_i, m}, is all of {P, P} here.
     """
-    center = Span(ctx.basis_monomials(degree))
-    derived = Span(center.monomials)
+    center = Span(ctx.basis_monomials(degree), ctx.nvars)
+    derived = Span(center.monomials, ctx.nvars)
     size, dim = len(center.monomials), ctx.nvars
     gens = [ctx.variable(i) for i in range(dim)]
     operator = RowBasis((dim + 1) * size)
     for j, m in enumerate(center.monomials):
-        pm = Polynomial.monomial(dim, m)
+        pm = ctx.monomial(m)
         brackets = [ctx.bracket(gen, pm) for gen in gens]
         scale = lcm(*(br.den for br in brackets))
         row = [(dim * size + j, scale)]
@@ -153,10 +163,10 @@ def _bracket_sources(ctx: PoissonContext, source_bound: int) -> Iterator[tuple[i
     {x_i, g * df/dx_i} (the second-derivative terms cancel by antisymmetry).
     On an orbit this holds modulo the relation's ideal, which is Poisson.
     """
-    linear = [Polynomial.monomial(ctx.nvars, m) for m in ctx.basis_monomials(1)]
+    linear = [ctx.monomial(m) for m in ctx.basis_monomials(1)]
     for d in range(1, source_bound + 1):
         for b, m in enumerate(ctx.basis_monomials(d)):
-            pm = Polynomial.monomial(ctx.nvars, m)
+            pm = ctx.monomial(m)
             for x in linear if d > 1 else linear[:b]:
                 br = ctx.bracket(x, pm)
                 if br:
@@ -170,7 +180,7 @@ def derived_span(ctx: PoissonContext, degree: int, source_bound: int) -> Span:
     at the bound.  In the free algebra, ``source_bound = degree + 1`` gives
     the degree slice of {P, P}.
     """
-    span = Span(ctx.basis_monomials(degree))
+    span = Span(ctx.basis_monomials(degree), ctx.nvars)
     for _, br in _bracket_sources(ctx, source_bound):
         span.insert(br.graded_component(degree))
     return span
@@ -198,7 +208,7 @@ def _entry_bound(
     past the entry bound is evaluated.
     """
     target = ctx.reduce(target)
-    span = Span(ctx.basis_monomials_up_to(max(source_bound, target.degree())))
+    span = Span(ctx.basis_monomials_up_to(max(source_bound, target.degree())), ctx.nvars)
     if span.contains(target):
         return 0
     for bound, group in groupby(sources, key=itemgetter(0)):
@@ -254,10 +264,7 @@ class VerificationReport:
         if self.records:
             columns = [*dict.fromkeys(k for r in self.records for k in r if k != "verdict"), "verdict"]
             table = [[_text_cell(r.get(c, "")) for c in columns] for r in self.records]
-            widths = [
-                max(len(columns[i]), max(len(row[i]) for row in table))
-                for i in range(len(columns))
-            ]
+            widths = [max(len(columns[i]), max(len(row[i]) for row in table)) for i in range(len(columns))]
             lines.append("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip())
             for row in table:
                 lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
@@ -283,14 +290,10 @@ def verify_prop1(algebra: LieAlgebra, max_degree: int) -> VerificationReport:
     have full rank (direct sum).  Runs on non-semisimple input too and
     records the failures, since the splitting is expected to break there.
     """
-    if max_degree < 0:
-        raise ValueError(f"the bound max_degree must be non-negative, got {max_degree}")
-    report = VerificationReport(
-        "prop1",
-        {"algebra": algebra.name or "user", "max_degree": max_degree},
-    )
+    _check_bound("max_degree", max_degree)
+    report = VerificationReport("prop1", {"algebra": algebra.name or "user", "max_degree": max_degree})
     ctx = PoissonContext.free(algebra)  # refuses an algebra that is not Lie
-    if not nondegenerate(killing_form(algebra)):
+    if not nondegenerate(killing_rows(algebra)):
         report.notes.append("algebra is not semisimple; the splitting is expected to fail")
     for n in range(max_degree + 1):
         center, derived = _free_degree_split(ctx, n)
@@ -309,7 +312,7 @@ def verify_prop1(algebra: LieAlgebra, max_degree: int) -> VerificationReport:
             "verdict": "pass" if (sum_ok and direct_ok) else "fail",
         }
         if not (sum_ok and direct_ok) and overlap.rank:
-            record["witness"] = ctx.format(_polynomials(center.monomials, overlap)[0])
+            record["witness"] = ctx.format(_polynomials(ctx.nvars, center.monomials, overlap)[0])
         report.records.append(record)
     return report
 
@@ -338,8 +341,7 @@ def verify_thm2(orbit: OrbitDescriptor, max_bound: int) -> VerificationReport:
     brackets at a lower bound cannot reach higher degrees; the effective cap
     is recorded in the report.
     """
-    if max_bound < 0:
-        raise ValueError(f"the bound max_bound must be non-negative, got {max_bound}")
+    _check_bound("max_bound", max_bound)
     ctx = orbit.context
     monomial_degree_cap = min(MONOMIAL_DEGREE_CAP, max_bound)
     report = _orbit_report(
@@ -364,11 +366,11 @@ def verify_thm2(orbit: OrbitDescriptor, max_bound: int) -> VerificationReport:
             }
         )
     for d in range(1, monomial_degree_cap + 1):
-        span = Span(ctx.basis_monomials(d))
+        span = Span(ctx.basis_monomials(d), ctx.nvars)
         for _, br in sources:
             span.insert(br.graded_component(d))
         for m in span.monomials:
-            p = Polynomial.monomial(ctx.nvars, m)
+            p = ctx.monomial(m)
             ok = span.contains(p)
             report.records.append(
                 {
@@ -391,6 +393,7 @@ def verify_heisenberg(orbit: OrbitDescriptor, bound: int = 2) -> VerificationRep
     """
     if bound < 1:
         raise ValueError(f"the bracket bound --max-degree must be at least 1, got {bound}")
+    _check_bound("--max-degree", bound)
     ctx = orbit.context
     one = Polynomial.constant(ctx.nvars, 1)
     verdict = derived_membership(ctx, one, bound)
@@ -435,7 +438,7 @@ def poisson_ideal_closure(ctx: PoissonContext, generators: Sequence[Polynomial],
     element's images in the span: the span is closed once the pass ends.
     Ranks are capped by the ambient dimension, so this terminates.
     """
-    span = Span(ctx.basis_monomials_up_to(degree_bound))
+    span = Span(ctx.basis_monomials_up_to(degree_bound), ctx.nvars)
     elements = [g for g in _reduced_generators(ctx, generators, degree_bound) if span.insert(g)]
     # The loop also visits the elements appended during it, and stops once the
     # span is everything, when no later move can be accepted.
@@ -470,6 +473,7 @@ def simplicity_probe(
     refutation, and is noted as such.
     """
     ctx = orbit.context
+    _check_bound("degree_bound", degree_bound)
     gens = _reduced_generators(ctx, trials, degree_bound)
     if any(g.degree() == 0 for g in gens):
         raise ValueError("probe generators must be nonconstant on the orbit")
@@ -526,15 +530,13 @@ def verify_homogeneous_ideals(orbit: OrbitDescriptor, k: int, degree_bound: int)
         raise ValueError("the homogeneous ideal index k must be at least 1")
     if k > degree_bound:
         raise ValueError(f"the homogeneous ideal index k={k} exceeds the degree bound {degree_bound}")
+    _check_bound("degree_bound", degree_bound)
     ctx = orbit.context
     if not ctx.ideal.relation.is_homogeneous():
         raise ValueError("orbit relation is not homogeneous; the quotient is not graded")
     report = _orbit_report("nilpotent-ideals", ctx, k=k, degree_bound=degree_bound)
 
-    monomials = {
-        d: [Polynomial.monomial(ctx.nvars, m) for m in ctx.basis_monomials(d)]
-        for d in range(1, degree_bound + 1)
-    }
+    monomials = {d: [ctx.monomial(m) for m in ctx.basis_monomials(d)] for d in range(1, degree_bound + 1)}
     for a in range(1, degree_bound + 1):
         for b in range(a, degree_bound + 2 - a):
             brackets = ((pa, pb, ctx.bracket(pa, pb)) for pa in monomials[a] for pb in monomials[b])
@@ -586,8 +588,7 @@ def nonexactness_check(
     that span by bound d.  The relation may be any nonzero rational multiple
     of the level-1 Casimir relation, since a multiple generates the same ideal.
     """
-    if degree_bound < 0:
-        raise ValueError(f"the bound degree_bound must be non-negative, got {degree_bound}")
+    _check_bound("degree_bound", degree_bound, 1)  # the equations reach degree_bound + 1
     ctx = orbit.context
     if ctx.algebra.name != "sl2r":
         raise ValueError("the non-exactness system is specific to sl2r")
@@ -629,22 +630,22 @@ def nonexactness_check(
 
 def _ideal_truncation(
     ctx: PoissonContext, generators: Sequence[Polynomial], degree_bound: int
-) -> tuple[Span, list[tuple[Monomial, Polynomial, Polynomial]]]:
+) -> tuple[Span, list[tuple[int, Polynomial, Polynomial]]]:
     """Span of reduced generator multiples with product degree at the bound,
-    with the accepted elements as (monomial, generator, reduced product)."""
-    span = Span(ctx.basis_monomials_up_to(degree_bound))
-    elements: list[tuple[Monomial, Polynomial, Polynomial]] = []
+    with the accepted elements as (monomial key, generator, reduced product)."""
+    span = Span(ctx.basis_monomials_up_to(degree_bound), ctx.nvars)
+    elements: list[tuple[int, Polynomial, Polynomial]] = []
     for g in generators:
         for d in range(degree_bound - g.degree() + 1):
             for m in ctx.basis_monomials(d):
-                p = ctx.reduce(Polynomial.monomial(ctx.nvars, m) * g)
+                p = ctx.reduce(ctx.monomial(m) * g)
                 if span.insert(p):
                     elements.append((m, g, p))
     return span, elements
 
 
 def _bracket_closed(
-    ctx: PoissonContext, span: Span, elements: Sequence[tuple[Monomial, Polynomial, Polynomial]]
+    ctx: PoissonContext, span: Span, elements: Sequence[tuple[int, Polynomial, Polynomial]]
 ) -> tuple[bool, str | None]:
     """Whether brackets of the span with every generator stay in the span;
     if not, the first failing bracket as text."""
@@ -653,7 +654,7 @@ def _bracket_closed(
         for m, g, e in elements:
             br = ctx.bracket(gen, e)
             if br and not span.contains(br):
-                mono = ctx.format(Polynomial.monomial(ctx.nvars, m))
+                mono = ctx.format(ctx.monomial(m))
                 return False, f"{{{ctx.algebra.names[i]}, {mono}*({ctx.format(g)})}}"
     return True, None
 
@@ -672,6 +673,7 @@ def ideal_square_check(
     when the ideal itself is bracket-closed at the bound (otherwise the
     containment argument that makes it a Lie ideal does not apply).
     """
+    _check_bound("degree_bound", degree_bound, degree_bound)  # products of two generators
     gens = _reduced_generators(ctx, generators, degree_bound)
     report = VerificationReport(
         "lemma",
@@ -700,10 +702,7 @@ def ideal_square_check(
         }
     )
     witness = next((ctx.format(g) for g in gens if not sq_span.contains(g)), None)
-    record = {
-        "check": "strict_inclusion",
-        "verdict": "pass" if witness is not None else "fail",
-    }
+    record = {"check": "strict_inclusion", "verdict": "pass" if witness is not None else "fail"}
     if witness is not None:
         record["witness"] = witness
     report.records.append(record)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -499,6 +500,31 @@ def test_bound_below_the_generators_is_a_usage_error(args, message):
     status, text = run(args)
     assert status == EXIT_USAGE
     assert message in text
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "prop1", "--algebra", "sl2r", "--max-degree", "40000"],
+        ["verify", "thm2", "--algebra", "sl2r", "--casimir", "1", "--max-degree", "32768"],
+        ["verify", "nonexact", "--algebra", "sl2r", "--max-degree", "32767"],
+        ["verify", "lemma", "--algebra", "sl2r", "--gen", "x", "--max-degree", "16384"],
+        ["verify", "heisenberg", "--max-degree", "40000"],
+        ["verify", "nilpotent-ideals", "--algebra", "sl2r", "--max-degree", "40000"],
+        ["probe", "simplicity", "--algebra", "sl2r", "--casimir", "1", "--gen", "x", "--max-degree", "40000"],
+        ["verify", "thm2", "--algebra", "sl2r", "--relation", "x^40000 - 1"],
+    ],
+    ids=["prop1", "thm2", "nonexact", "lemma", "heisenberg", "nilpotent-ideals", "simplicity", "relation"],
+)
+def test_a_bound_past_the_exponent_cap_exits_2_before_any_work(args):
+    # a monomial is one int of 16-bit fields, so degrees stop at 2^15 - 1;
+    # nonexact's equations reach one degree past its bound, and the lemma
+    # squares its generators
+    start = time.perf_counter()
+    status, text = run(args)
+    assert time.perf_counter() - start < 0.5
+    assert status == EXIT_USAGE
+    assert "the cap 32767" in text
 
 
 def test_k_defaults_to_one_and_is_checked_on_nilpotent_ideals():

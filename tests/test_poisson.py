@@ -8,7 +8,7 @@ import pytest
 from liepoisson.liealg import LieAlgebra, builtin, is_semisimple, killing_form, validate
 from liepoisson.orbit import OrbitIdeal, builtin_casimir, casimir_orbit, make_orbit
 from liepoisson.poisson import BracketClosureError, PoissonContext, jacobi_defect, leibniz_defect
-from liepoisson.poly import Polynomial, monomials_of_degree, parse_polynomial
+from liepoisson.poly import Polynomial, monomials_of_degree, parse_polynomial, unpack
 
 from oracles import assert_canonical, division_normal_form, graded_lex_key, leibniz_bracket, random_polynomial
 
@@ -157,6 +157,46 @@ def test_bracket_matches_leibniz_expansion_oracle(contexts):
             assert br == expected
 
 
+LINEAR_FIRST_CONTEXTS = {
+    "free-sl2r": lambda: FREE_SL2R,
+    "sl2r-hyperboloid": lambda: casimir_orbit(SL2R, 1).context,
+    "sl2r-cone": lambda: casimir_orbit(SL2R, 0).context,
+    "free-so3": lambda: PoissonContext.free(builtin("so3")),
+    "so3-sphere": lambda: casimir_orbit(builtin("so3"), 1).context,
+    "free-heisenberg2": lambda: PoissonContext.free(builtin("heisenberg", 2)),
+    "heisenberg1-z-1": lambda: casimir_orbit(builtin("heisenberg", 1), 1).context,
+    "free-scaled-sl2r": lambda: PoissonContext.free(SCALED_SL2R),
+    "scaled-sl2r-level-1/2": lambda: make_orbit(
+        SCALED_SL2R, parse_polynomial("4*x^2 + 9/4*y^2 - 1/9*z^2 - 1/2", SCALED_SL2R.names)
+    ).context,
+}
+
+
+@pytest.mark.parametrize("name", LINEAR_FIRST_CONTEXTS)
+def test_linear_first_factor_matches_the_leibniz_oracle(name):
+    # {x_i, x^m}, the bracket every span source and prop1's operator takes,
+    # reads only ad[i]: check it for every generator and monomial to degree 4
+    ctx = LINEAR_FIRST_CONTEXTS[name]()
+    n = ctx.nvars
+    for d in range(5):
+        for m in monomials_of_degree(n, d):
+            pm = Polynomial.monomial(n, m)
+            for i in range(n):
+                expected = leibniz_bracket(ctx.algebra, ctx.variable(i), pm)
+                if ctx.is_quotient:
+                    expected = division_normal_form(expected, ctx.ideal.relation)
+                assert ctx.bracket(ctx.variable(i), pm) == expected
+
+
+@pytest.mark.parametrize("m", [255, 256, 1000, 32767])
+def test_linear_first_factor_reads_whole_exponent_fields(m):
+    # [z, x] = y in sl2r, so {z, x^m} = m x^(m-1) y, at exponents that fill
+    # a byte, pass it, and reach the cap of a 16-bit field
+    z, xm = SL2R.variable(2), Polynomial.monomial(3, (m, 0, 0))
+    assert FREE_SL2R.bracket(z, xm) == m * Polynomial.monomial(3, (m - 1, 1, 0))
+    assert FREE_SL2R.bracket(xm, z) == -m * Polynomial.monomial(3, (m - 1, 1, 0))
+
+
 @pytest.mark.parametrize("name,level", [("sl2r", 1), ("sl2r", 0), ("so3", 1), ("heisenberg", 1)])
 def test_quotient_compatibility(name, level):
     algebra = builtin(name, 1 if name == "heisenberg" else None)
@@ -225,8 +265,10 @@ def test_monomials_up_to_concatenate_descending_degree_slices(name):
     # the graded order puts higher degrees first, so the slices need no re-sort
     ctx = MONOMIAL_CONTEXTS[name]()
     for bound in range(8):
-        slices = [m for d in range(bound + 1) for m in ctx.basis_monomials(d)]
-        assert ctx.basis_monomials_up_to(bound) == tuple(sorted(slices, key=graded_lex_key, reverse=True))
-        free = [m for d in range(bound + 1) for m in monomials_of_degree(ctx.nvars, d)]
-        expected = tuple(sorted(free, key=graded_lex_key, reverse=True))
-        assert PoissonContext.free(ctx.algebra).basis_monomials_up_to(bound) == expected
+        n = ctx.nvars
+        slices = [unpack(m, n) for d in range(bound + 1) for m in ctx.basis_monomials(d)]
+        up_to = [unpack(m, n) for m in ctx.basis_monomials_up_to(bound)]
+        assert up_to == sorted(slices, key=graded_lex_key, reverse=True)
+        free = [m for d in range(bound + 1) for m in monomials_of_degree(n, d)]
+        expected = sorted(free, key=graded_lex_key, reverse=True)
+        assert [unpack(m, n) for m in PoissonContext.free(ctx.algebra).basis_monomials_up_to(bound)] == expected

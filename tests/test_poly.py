@@ -11,18 +11,22 @@ from hypothesis import strategies as st
 from liepoisson.liealg import builtin
 from liepoisson.poisson import PoissonContext
 from liepoisson.poly import (
+    EXPONENT_CAP,
     Polynomial,
     PolynomialSyntaxError,
     Reducer,
     format_polynomial,
     monomials_of_degree,
+    pack,
     parse_polynomial,
+    unpack,
 )
 
 from oracles import (
     NORMAL_FORM_RELATIONS,
     Terms,
     assert_canonical,
+    divides,
     division_normal_form,
     graded_lex_key,
     random_monomial,
@@ -164,7 +168,7 @@ def test_terms_renders_fractions_and_is_read_only():
     expected = {(1, 1, 0): Fraction(3, 2), (0, 0, 1): Fraction(-2, 3), (0, 0, 0): Fraction(4)}
     assert f.terms == expected
     assert all(type(c) is Fraction for c in f.terms.values())
-    assert (f.num, f.den) == ({(1, 1, 0): 9, (0, 0, 1): -4, (0, 0, 0): 24}, 6)
+    assert ({unpack(m, 3): a for m, a in f.num.items()}, f.den) == ({(1, 1, 0): 9, (0, 0, 1): -4, (0, 0, 0): 24}, 6)
     view = f.terms
     view[(0, 0, 0)] = Fraction(99)
     del view[(1, 1, 0)]
@@ -306,3 +310,90 @@ def test_degree_conventions():
         g = random_polynomial(rng, 3, 3)
         if f and g:
             assert (f * g).degree() == f.degree() + g.degree()
+
+
+def exponent_tuples(nvars: int):
+    """Exponent tuples in ``nvars`` variables whose degree stays within the
+    cap: small exponents, so that ties and divisibility are common, mixed
+    with exponents up to the cap's share, so that the top bit of a field is
+    reached."""
+    share = EXPONENT_CAP // max(nvars, 1)
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, share), st.just(share))
+    return st.lists(exponent, min_size=nvars, max_size=nvars).map(tuple)
+
+
+def monomial_pairs():
+    """(a, b) in one variable count; b is often a plus a small tuple, so that
+    a divides b, or a itself."""
+
+    def pair(nvars):
+        a = exponent_tuples(nvars)
+        shifted = st.tuples(a, st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars)).map(
+            lambda t: (t[0], tuple(x + y if sum(t[0]) + sum(t[1]) <= EXPONENT_CAP else x for x, y in zip(*t)))
+        )
+        return st.one_of(st.tuples(a, exponent_tuples(nvars)), shifted, a.map(lambda m: (m, m)))
+
+    return st.integers(0, 7).flatmap(pair)
+
+
+@given(monomial_pairs())
+@example(((EXPONENT_CAP,), (EXPONENT_CAP - 1,)))
+@example(((0, 1), (1, 0)))
+@settings(deadline=None, max_examples=200)
+def test_packed_order_is_the_graded_lex_order(pair):
+    a, b = pair
+    assert (pack(a) < pack(b)) == (graded_lex_key(a) < graded_lex_key(b))
+    assert (pack(a) == pack(b)) == (a == b)
+
+
+@given(st.integers(0, 9).flatmap(exponent_tuples))
+@example((EXPONENT_CAP,))
+@example((0, EXPONENT_CAP, 0))
+@settings(deadline=None, max_examples=200)
+def test_pack_unpack_round_trip(m):
+    assert unpack(pack(m), len(m)) == m
+    assert Polynomial.monomial(len(m), m).leading_term()[0] == m
+    assert pack(m) >> 16 * len(m) == sum(m)  # the degree in the top field
+
+
+@given(monomial_pairs())
+@example(((EXPONENT_CAP,), (EXPONENT_CAP,)))
+@example(((EXPONENT_CAP, 0), (EXPONENT_CAP - 1, 1)))
+@example(((1, 0, 2), (0, 5, 9)))
+@settings(deadline=None, max_examples=200)
+def test_guard_bit_divisibility_is_componentwise(pair):
+    a, b = pair
+    reducer = Reducer(Polynomial.monomial(len(a), a))
+    assert reducer.divisible(pack(b)) is divides(a, b)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [(EXPONENT_CAP + 1, 0, 0), (0, 0, 40000), (20000, 20000, 0), (EXPONENT_CAP, 1, 0)],
+    ids=["exponent-past-cap", "exponent-40000", "degree-past-cap", "degree-one-past-cap"],
+)
+def test_constructor_refuses_a_monomial_past_the_cap(m):
+    with pytest.raises(ValueError, match=f"exceeds the exponent and degree cap {EXPONENT_CAP}"):
+        Polynomial.monomial(3, m)
+    assert Polynomial.monomial(3, (EXPONENT_CAP, 0, 0)).degree() == EXPONENT_CAP
+
+
+@pytest.mark.parametrize(
+    "text,degree,position",
+    [("x^32768", 32768, 0), ("y + x^20000*z^20000", 40000, 12), ("x^99999999999999999999", 99999999999999999999, 0)],
+)
+def test_parse_refuses_a_term_past_the_cap(text, degree, position):
+    with pytest.raises(PolynomialSyntaxError) as err:
+        p(text)
+    assert str(err.value) == f"degree {degree} exceeds the cap {EXPONENT_CAP} (at position {position})"
+    assert p(f"x^{EXPONENT_CAP}") == Polynomial.monomial(3, (EXPONENT_CAP, 0, 0))
+
+
+def test_products_and_brackets_past_the_cap_raise():
+    half = Polynomial.monomial(3, (0, 0, 16384))
+    with pytest.raises(ValueError, match=f"a product of degree 32768 exceeds the cap {EXPONENT_CAP}"):
+        half * half
+    ctx = PoissonContext.free(builtin("sl2r"))
+    with pytest.raises(ValueError, match=f"a bracket of degree 32768 exceeds the cap {EXPONENT_CAP}"):
+        ctx.bracket(half * p("x"), half)
+    assert (half * p("x")).degree() == 16385 and ctx.bracket(half, half) == Polynomial.zero(3)
