@@ -105,15 +105,19 @@ class RowBasis:
         return dict(sorted(done.items()))
 
     def _row(self, pairs: Pairs) -> Row:
-        row = dict(pairs)
-        if len(row) != len(pairs):
-            raise ValueError("sparse row repeats a column")
-        if row and not (0 <= min(row) and max(row) < self.width):
-            raise ValueError(f"sparse row has a column outside [0, {self.width})")
-        if not all(row.values()):
-            raise ValueError("sparse row has a zero value")
-        if not all(type(a) is int for a in row.values()):
-            raise ValueError("sparse row has a value that is not an int")
+        """The row of ``pairs`` as a dict, checking each entry once."""
+        row: Row = {}
+        width = self.width
+        for j, a in pairs:
+            if j in row:
+                raise ValueError("sparse row repeats a column")
+            if not 0 <= j < width:
+                raise ValueError(f"sparse row has a column outside [0, {width})")
+            if not a:
+                raise ValueError("sparse row has a zero value")
+            if type(a) is not int:
+                raise ValueError("sparse row has a value that is not an int")
+            row[j] = a
         return row
 
     def insert(self, pairs: Pairs) -> bool:

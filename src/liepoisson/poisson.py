@@ -17,10 +17,12 @@ nonzero exponent m_i (read from the nonzero fields of m only), each j in
 ``ad[i]`` and each term b x^w of g with w_j != 0, the bracket gets
 m_i w_j a b c_ij^k at the key m + w + (E_k - E_i - E_j): one integer
 addition per target monomial.  So a linear first factor {x_i, g}, as in
-every bracket span and the center's operator, reads only ``ad[i]``.
-Coefficients stay integer numerators: the structure constants over one
-common denominator, times the operands' numerators, over the product of
-the three denominators.
+every bracket span, reads only ``ad[i]``.  ``ad_numerators`` reads the
+same table for {x_i, x^m} at every generator i at once, as prop1's operator
+takes them, without building a ``Polynomial``: each term is m_j c_ij^k at
+x^(m - E_j + E_k).  Coefficients stay integer numerators: the structure
+constants over one common denominator ``den``, times the operands'
+numerators, over the product of the three denominators.
 """
 
 from __future__ import annotations
@@ -84,6 +86,11 @@ class PoissonContext:
         return cls(algebra, None)
 
     @property
+    def den(self) -> int:
+        """The common denominator of the structure constants."""
+        return self._den
+
+    @property
     def is_quotient(self) -> bool:
         return self.ideal is not None
 
@@ -134,6 +141,23 @@ class PoissonContext:
         if self.ideal is None:
             return Polynomial.from_numerators(self.nvars, acc, den)
         return self.ideal.reduce_numerators(acc, den)
+
+    def ad_numerators(self, m: int) -> list[dict[int, int]]:
+        """Numerators over ``den`` of {x_i, x^m} for each generator i, keyed by
+        monomial; unreduced in quotient mode, and zero where terms cancel."""
+        out = []
+        m1 = m + (1 << FIELD_BITS * self.nvars)  # x^m with the degree unit of a linear factor
+        for i, row in enumerate(self._ad):
+            acc: dict[int, int] = {}
+            get = acc.get
+            m0 = m1 + (1 << FIELD_BITS * i)  # x_i x^m: each delta then gives m - E_j + E_k
+            for j, deltas in row:
+                if b := m >> FIELD_BITS * j & FIELD_MASK:
+                    for delta, c in deltas:
+                        t = m0 + delta
+                        acc[t] = get(t, 0) + b * c
+            out.append(acc)
+        return out
 
     def basis_monomials(self, degree: int) -> tuple[int, ...]:
         """Keys of the canonical monomials of the given degree, descending.

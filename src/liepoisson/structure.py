@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 from enum import Enum
 from itertools import groupby
-from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -117,30 +116,44 @@ def _free_degree_split(ctx: PoissonContext, degree: int) -> tuple[Span, Span]:
     """Center and derived slice of the free algebra at one degree, from one operator.
 
     D sends a degree-``degree`` monomial m to ({x_1, m}, ..., {x_dim, m}),
-    each bracket evaluated once.  The center ker D is read off one
-    elimination of the rows [D(m_j) | e_j], scaled to integers: those
-    pivoted in the identity block are [0 | c], and their c span ker D.  D
-    is laid out monomial-major, coordinate c of {x_i, m_j} in column
+    read from ``ctx.ad_numerators`` over the one denominator of the
+    structure constants, so each row [D(m_j) | e_j] is an integer row as it
+    stands.  The center ker D is read off one elimination of these rows:
+    those pivoted in the identity block are [0 | c], and their c span ker D.
+    D is laid out monomial-major, coordinate c of {x_i, m_j} in column
     c * dim + i: each target monomial's dim coordinates are cleared
     together, where generator-major columns fill in the identity block.
+
+    The rows go in from the last, lowest, monomial up.  The leading column
+    of D(m_j) lies in the block of its largest target monomial.  In a
+    non-sparse basis that is m_j with one unit moved from its lowest
+    variable to the last, which does not fall as m_j rises.  So the rows
+    already in have their columns at or right of the new row's leading
+    block, and a row whose leading column is taken meets a row that went in
+    unreduced, not the residual of an earlier clearing: on sl3 and sl4 from
+    matrix units and on sl3 in rebased bases, no row met a residual.  From
+    the top down, most rows meet residuals first and take on their identity
+    entries (226 of 330 on sl3 in a rebased basis at degree 4).
+
     The derived slice, the span of the {x_i, m}, is all of {P, P} here.
+    Its inserts stop once its rank is the slice's size: every later
+    bracket lies in it.
     """
     center = Span(ctx.basis_monomials(degree), ctx.nvars)
     derived = Span(center.monomials, ctx.nvars)
-    size, dim = len(center.monomials), ctx.nvars
-    gens = [ctx.variable(i) for i in range(dim)]
-    operator = RowBasis((dim + 1) * size)
+    size, dim, index, den = len(center.monomials), ctx.nvars, center._index, ctx.den
+    rows = []
     for j, m in enumerate(center.monomials):
-        pm = ctx.monomial(m)
-        brackets = [ctx.bracket(gen, pm) for gen in gens]
-        scale = lcm(*(br.den for br in brackets))
-        row = [(dim * size + j, scale)]
-        for i, br in enumerate(brackets):
-            vec = derived.vector(br)
+        row = [(dim * size + j, den)]
+        for i, num in enumerate(ctx.ad_numerators(m)):
+            vec = [(index[t], a) for t, a in num.items() if a]
             if vec:
-                derived.rows.insert(vec)
-                s = scale // br.den
-                row += [(c * dim + i, a * s) for c, a in vec]
+                row += [(c * dim + i, a) for c, a in vec]
+                if derived.rank < size:
+                    derived.rows.insert(vec)
+        rows.append(row)
+    operator = RowBasis((dim + 1) * size)
+    for row in reversed(rows):
         operator.insert(row)
     for row in operator.tail(dim * size):
         center.rows.insert(row)
@@ -615,7 +628,7 @@ def nonexactness_check(
             }
         )
     # The homogeneous system always has the zero solution, so this control
-    # cannot fail; ROADMAP item 2 replaces it with one that can.
+    # cannot fail; ROADMAP item 4 replaces it with one that can.
     report.records.append(
         {
             "check": "target_zero_control",

@@ -8,7 +8,7 @@ import pytest
 from liepoisson.liealg import LieAlgebra, builtin, is_semisimple, killing_form, validate
 from liepoisson.orbit import OrbitIdeal, builtin_casimir, casimir_orbit, make_orbit
 from liepoisson.poisson import BracketClosureError, PoissonContext, jacobi_defect, leibniz_defect
-from liepoisson.poly import Polynomial, monomials_of_degree, parse_polynomial, unpack
+from liepoisson.poly import Polynomial, monomials_of_degree, pack, parse_polynomial, unpack
 
 from oracles import assert_canonical, division_normal_form, graded_lex_key, leibniz_bracket, random_polynomial
 
@@ -174,18 +174,26 @@ LINEAR_FIRST_CONTEXTS = {
 
 @pytest.mark.parametrize("name", LINEAR_FIRST_CONTEXTS)
 def test_linear_first_factor_matches_the_leibniz_oracle(name):
-    # {x_i, x^m}, the bracket every span source and prop1's operator takes,
-    # reads only ad[i]: check it for every generator and monomial to degree 4
+    # {x_i, x^m}, the bracket every span source takes, reads only ad[i], and
+    # prop1's operator reads all of them at once from ad_numerators over the
+    # one denominator of the constants: check both for every generator and
+    # monomial to degree 4
     ctx = LINEAR_FIRST_CONTEXTS[name]()
     n = ctx.nvars
     for d in range(5):
         for m in monomials_of_degree(n, d):
             pm = Polynomial.monomial(n, m)
+            numerators = ctx.ad_numerators(pack(m))
+            assert len(numerators) == n
             for i in range(n):
                 expected = leibniz_bracket(ctx.algebra, ctx.variable(i), pm)
                 if ctx.is_quotient:
                     expected = division_normal_form(expected, ctx.ideal.relation)
+                    from_table = ctx.ideal.reduce_numerators(numerators[i], ctx.den)
+                else:
+                    from_table = Polynomial.from_numerators(n, numerators[i], ctx.den)
                 assert ctx.bracket(ctx.variable(i), pm) == expected
+                assert from_table == expected
 
 
 @pytest.mark.parametrize("m", [255, 256, 1000, 32767])
