@@ -23,16 +23,26 @@ takes them, without building a ``Polynomial``: each term is m_j c_ij^k at
 x^(m - E_j + E_k).  Coefficients stay integer numerators: the structure
 constants over one common denominator ``den``, times the operands'
 numerators, over the product of the three denominators.
+
+That loop nest, ``_add_bracket``, adds s times these numerators into a
+dict the caller passes, as ``poly.add_product`` does for a product.
+``bracket`` and ``product`` are one kernel call each plus one normal-form
+step, which checks the degree cap and, on an orbit, reduces once.  The
+axiom defects sum their outer brackets and products in one dict over the
+lcm of the denominators, so each defect is also reduced once; a normal
+form modulo one divisor is linear and unique, so the result is the one
+the separately reduced terms would sum to.
 """
 
 from __future__ import annotations
 
 from math import lcm
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .liealg import LieAlgebra, require_lie
 from .poly import (
-    EXPONENT_CAP, FIELD_BITS, FIELD_MASK, Polynomial, format_polynomial, monomials_of_degree, pack, parse_polynomial
+    FIELD_BITS, FIELD_MASK, Polynomial, add_product, check_degree, format_polynomial, monomials_of_degree, pack,
+    parse_polynomial,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,9 +64,9 @@ class PoissonContext:
     A context refuses an algebra that is not Lie (InvalidLieAlgebraError,
     naming the first Jacobi violation), and a quotient context then checks
     its relation (ValueError on another variable count, BracketClosureError
-    if its bracket with a generator does not reduce to zero).  ``bracket``
-    and ``reduce`` are pure functions; the context and its ideal only cache
-    basis monomials and normal forms.
+    if its bracket with a generator does not reduce to zero).  ``bracket``,
+    ``product`` and ``reduce`` are pure functions; the context and its ideal
+    only cache basis monomials and normal forms.
     """
 
     def __init__(self, algebra: LieAlgebra, ideal: "OrbitIdeal | None"):
@@ -115,13 +125,28 @@ class PoissonContext:
 
     def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
         """Lie-Poisson bracket, reduced to normal form in quotient mode."""
+        acc: dict[int, int] = {}
+        self._add_bracket(acc, f, g)
+        return self._normal_form(acc, f.den * g.den * self._den, "bracket")
+
+    def product(self, f: Polynomial, g: Polynomial) -> Polynomial:
+        """The product f * g, reduced to normal form in quotient mode."""
+        if f.nvars != self.nvars or g.nvars != self.nvars:
+            raise ValueError("polynomials do not match the context's variables")
+        acc: dict[int, int] = {}
+        add_product(acc, f, g)
+        return self._normal_form(acc, f.den * g.den, "product")
+
+    def _add_bracket(self, acc: dict[int, int], f: Polynomial, g: Polynomial, s: int = 1) -> None:
+        """Add ``s`` times the numerators of {f, g}, which lie over
+        ``f.den * g.den * den``, into ``acc``: the package's one bracket loop."""
         if f.nvars != self.nvars or g.nvars != self.nvars:
             raise ValueError("polynomials do not match the context's variables")
         n, ad, g_terms = self.nvars, self._ad, g.num.items()
-        acc: dict[int, int] = {}
         get = acc.get
         below_degree = (1 << FIELD_BITS * n) - 1
         for ma, ca in f.num.items():
+            ca *= s
             rest = ma & below_degree
             while rest:  # the nonzero exponent fields e = m_i of ma, from the top
                 i = (rest.bit_length() - 1) // FIELD_BITS
@@ -135,9 +160,11 @@ class PoissonContext:
                             for delta, c in deltas:
                                 m = m0 + delta
                                 acc[m] = get(m, 0) + w * c
-        if acc and (degree := max(acc) >> FIELD_BITS * n) > EXPONENT_CAP:
-            raise ValueError(f"a bracket of degree {degree} exceeds the cap {EXPONENT_CAP}")
-        den = f.den * g.den * self._den
+
+    def _normal_form(self, acc: dict[int, int], den: int, what: str) -> Polynomial:
+        """The canonical polynomial ``acc / den``, reduced once in quotient
+        mode, after the cap check on a sum of ``what``s."""
+        check_degree(acc, self.nvars, what)
         if self.ideal is None:
             return Polynomial.from_numerators(self.nvars, acc, den)
         return self.ideal.reduce_numerators(acc, den)
@@ -178,8 +205,16 @@ class PoissonContext:
 
 
 def jacobi_defect(ctx: PoissonContext, f: Polynomial, g: Polynomial, h: Polynomial) -> Polynomial:
-    """{f,{g,h}} + {g,{h,f}} + {h,{f,g}}; exactly zero for a Poisson bracket."""
-    return ctx.bracket(f, ctx.bracket(g, h)) + ctx.bracket(g, ctx.bracket(h, f)) + ctx.bracket(h, ctx.bracket(f, g))
+    """{f,{g,h}} + {g,{h,f}} + {h,{f,g}}; exactly zero for a Poisson bracket.
+
+    The inner brackets are reduced; the outer three are summed in one
+    numerator dict over the lcm of their denominators and reduced once."""
+    pairs = [(f, ctx.bracket(g, h)), (g, ctx.bracket(h, f)), (h, ctx.bracket(f, g))]
+    den = lcm(*(a.den * b.den for a, b in pairs))
+    acc: dict[int, int] = {}
+    for a, b in pairs:
+        ctx._add_bracket(acc, a, b, den // (a.den * b.den))
+    return ctx._normal_form(acc, den * ctx.den, "bracket")
 
 
 def leibniz_defect(
@@ -188,12 +223,36 @@ def leibniz_defect(
     """Defects of the product rule and of its symmetrized form.
 
     Returns ({fg,h} - f{g,h} - g{f,h}, {fg,h} - {f,gh} - {g,fh});
-    both are exactly zero for a Poisson bracket.
+    both are exactly zero for a Poisson bracket.  The products fg, gh, fh
+    and the inner brackets are reduced; {fg,h} is evaluated once into a
+    numerator dict, and each defect adds its two other terms to a copy of
+    it and is reduced once.
     """
-    fg = ctx.reduce(f * g)
-    gh = ctx.reduce(g * h)
-    fh = ctx.reduce(f * h)
-    lead = ctx.bracket(fg, h)
-    product_rule = lead - ctx.reduce(f * ctx.bracket(g, h)) - ctx.reduce(g * ctx.bracket(f, h))
-    symmetrized = lead - ctx.bracket(f, gh) - ctx.bracket(g, fh)
+    fg, gh, fh = ctx.product(f, g), ctx.product(g, h), ctx.product(f, h)
+    lead: dict[int, int] = {}
+    ctx._add_bracket(lead, fg, h)
+    check_degree(lead, ctx.nvars, "bracket")
+    lead_den = fg.den * h.den * ctx.den
+    products = [(f, ctx.bracket(g, h)), (g, ctx.bracket(f, h))]
+    product_rule = _lead_minus(ctx, lead, lead_den, add_product, products, 1, "product")
+    symmetrized = _lead_minus(ctx, lead, lead_den, ctx._add_bracket, [(f, gh), (g, fh)], ctx.den, "bracket")
     return product_rule, symmetrized
+
+
+def _lead_minus(
+    ctx: PoissonContext,
+    lead: dict[int, int],
+    lead_den: int,
+    kernel: Callable[[dict[int, int], Polynomial, Polynomial, int], None],
+    pairs: list[tuple[Polynomial, Polynomial]],
+    unit: int,
+    what: str,
+) -> Polynomial:
+    """``lead / lead_den`` minus the sum over ``pairs`` of ``kernel``'s terms,
+    each over ``a.den * b.den * unit``, as one numerator dict reduced once."""
+    den = lcm(lead_den, *(a.den * b.den * unit for a, b in pairs))
+    s = den // lead_den
+    acc = {m: c * s for m, c in lead.items()}
+    for a, b in pairs:
+        kernel(acc, a, b, -(den // (a.den * b.den * unit)))
+    return ctx._normal_form(acc, den, what)

@@ -203,14 +203,8 @@ class Polynomial:
         if other is None:
             return NotImplemented
         acc: dict[int, int] = {}
-        get = acc.get
-        for ma, ca in self.num.items():
-            for mb, cb in other.num.items():
-                m = ma + mb
-                acc[m] = get(m, 0) + ca * cb
-        # the fields of a sum of two keys do not carry, so its top field is the product's degree
-        if acc and (degree := max(acc) >> FIELD_BITS * self.nvars) > EXPONENT_CAP:
-            raise ValueError(f"a product of degree {degree} exceeds the cap {EXPONENT_CAP}")
+        add_product(acc, self, other)
+        check_degree(acc, self.nvars, "product")
         return Polynomial.from_numerators(self.nvars, acc, self.den * other.den)
 
     __rmul__ = __mul__
@@ -249,6 +243,25 @@ class Polynomial:
     def __repr__(self) -> str:
         names = tuple(f"x{i}" for i in range(self.nvars))
         return f"Polynomial({format_polynomial(self, names)!r})"
+
+
+def add_product(acc: dict[int, int], f: Polynomial, g: Polynomial, s: int = 1) -> None:
+    """Add ``s`` times the numerators of f * g, which lie over ``f.den * g.den``,
+    into ``acc``: the package's one product loop."""
+    get, g_terms = acc.get, g.num.items()
+    for ma, ca in f.num.items():
+        ca *= s
+        for mb, cb in g_terms:
+            m = ma + mb
+            acc[m] = get(m, 0) + ca * cb
+
+
+def check_degree(acc: Mapping[int, int], nvars: int, what: str) -> None:
+    """Raise ValueError if a key of ``acc``, a sum of products or brackets of
+    polynomials within the cap, has a degree past EXPONENT_CAP."""
+    # the fields of a sum of two keys do not carry, so the top field of the largest key is its degree
+    if acc and (degree := max(acc) >> FIELD_BITS * nvars) > EXPONENT_CAP:
+        raise ValueError(f"a {what} of degree {degree} exceeds the cap {EXPONENT_CAP}")
 
 
 def _combine(parts) -> tuple[dict[int, int], int]:
@@ -319,13 +332,20 @@ class Reducer:
         """The remainder of the polynomial with coefficients ``num[m] / den``,
         as ``Polynomial.from_numerators`` takes them (zero numerators allowed,
         any common factor, ``den`` nonzero); the result is made canonical once."""
-        lm, guards = self._lm, self._guards
+        lm, guards, memo = self._lm, self._guards, self._memo
         reducible = [m for m, a in num.items() if a and not (m - lm) & guards]
         if not reducible:
             return Polynomial.from_numerators(self.nvars, num, den)
-        num, memo = dict(num), self._memo
-        parts = [(num.pop(m), memo[m] if m in memo else self._monomial_nf(m)) for m in reducible]
-        acc, scale = _combine(parts + [(1, (num, 1))])
+        forms = [memo[m] if m in memo else self._monomial_nf(m) for m in reducible]
+        # a memo denominator is negative when the leading coefficient is; lcm is not
+        scale = lcm(*(d for _, d in forms))
+        acc = {m: a * scale for m, a in num.items()} if scale != 1 else dict(num)
+        get = acc.get
+        for m, (nf, d) in zip(reducible, forms):
+            del acc[m]
+            s = num[m] * (scale // d)
+            for w, b in nf.items():  # normal monomials, so none is a reducible key still in acc
+                acc[w] = get(w, 0) + s * b
         return Polynomial.from_numerators(self.nvars, acc, den * scale)
 
 
@@ -403,7 +423,7 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
             raise PolynomialSyntaxError(f"integer of {len(tok)} digits exceeds the limit of {limit}", pos) from None
 
     nvars = len(names)
-    acc = Polynomial.zero(nvars)
+    acc: dict[Monomial, Fraction] = {}
     k = 1 if tokens[0][1] in ("+", "-") else 0
     sign = -1 if tokens[0][1] == "-" else 1
     coeff, exps = Fraction(1), [0] * nvars
@@ -433,9 +453,10 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
         k += 2
         if tok == "*":
             continue
-        acc = acc + Polynomial.monomial(nvars, tuple(exps), sign * coeff)
+        m = tuple(exps)
+        acc[m] = acc.get(m, 0) + sign * coeff
         if tok == "":
-            return acc
+            return Polynomial(nvars, acc)
         if tok not in ("+", "-"):
             raise PolynomialSyntaxError(f"unexpected character '{tok[0]}'", pos)
         sign = -1 if tok == "-" else 1

@@ -462,7 +462,7 @@ def poisson_ideal_closure(ctx: PoissonContext, generators: Sequence[Polynomial],
         multiply = e.degree() < degree_bound
         for gen in variables:
             if multiply:
-                p = ctx.reduce(gen * e)
+                p = ctx.product(gen, e)
                 if span.insert(p):
                     elements.append(p)
             p = ctx.bracket(gen, e)
@@ -651,7 +651,7 @@ def _ideal_truncation(
     for g in generators:
         for d in range(degree_bound - g.degree() + 1):
             for m in ctx.basis_monomials(d):
-                p = ctx.reduce(ctx.monomial(m) * g)
+                p = ctx.product(ctx.monomial(m), g)
                 if span.insert(p):
                     elements.append((m, g, p))
     return span, elements
@@ -703,7 +703,7 @@ def ideal_square_check(
     square_gens = []
     for a in range(len(gens)):
         for b in range(a, len(gens)):
-            p = ctx.reduce(gens[a] * gens[b])
+            p = ctx.product(gens[a], gens[b])
             if p:
                 square_gens.append(p)
     sq_span, sq_elements = _ideal_truncation(ctx, square_gens, degree_bound)

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from liepoisson import poisson
 from liepoisson.liealg import LieAlgebra, builtin, is_semisimple, killing_form, validate
 from liepoisson.orbit import OrbitIdeal, builtin_casimir, casimir_orbit, make_orbit
 from liepoisson.poisson import BracketClosureError, PoissonContext, jacobi_defect, leibniz_defect
 from liepoisson.poly import Polynomial, monomials_of_degree, pack, parse_polynomial, unpack
 
-from oracles import assert_canonical, division_normal_form, graded_lex_key, leibniz_bracket, random_polynomial
+from oracles import (
+    assert_canonical, division_normal_form, graded_lex_key, leibniz_bracket, nonzero_random_polynomial, random_polynomial
+)
 
 SL2R = builtin("sl2r")
 FREE_SL2R = PoissonContext.free(SL2R)
@@ -280,3 +283,123 @@ def test_monomials_up_to_concatenate_descending_degree_slices(name):
         free = [m for d in range(bound + 1) for m in monomials_of_degree(n, d)]
         expected = sorted(free, key=graded_lex_key, reverse=True)
         assert [unpack(m, n) for m in PoissonContext.free(ctx.algebra).basis_monomials_up_to(bound)] == expected
+
+
+def unfused_defects(ctx, f, g, h):
+    """Jacobi and both Leibniz defects as sums of separately reduced terms:
+    brackets by the Leibniz-expansion oracle and products by ``*``, each
+    reduced by the division oracle in quotient mode."""
+
+    def nf(p):
+        return division_normal_form(p, ctx.ideal.relation) if ctx.is_quotient else p
+
+    def br(a, b):
+        return nf(leibniz_bracket(ctx.algebra, a, b))
+
+    def mul(a, b):
+        return nf(a * b)
+
+    jacobi = br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g))
+    fg, gh, fh = mul(f, g), mul(g, h), mul(f, h)
+    lead = br(fg, h)
+    return jacobi, lead - mul(f, br(g, h)) - mul(g, br(f, h)), lead - br(f, gh) - br(g, fh)
+
+
+def assert_fused_defects_match(ctx, seed, count):
+    """The defects on seeded rational triples equal the unfused sums; returns
+    how many of the Jacobi, product-rule and symmetrized defects were nonzero."""
+    rng = random.Random(seed)
+    nonzero = [0, 0, 0]
+    for _ in range(count):
+        f, g, h = (nonzero_random_polynomial(rng, ctx.nvars, 3, max_terms=3) for _ in range(3))
+        got = (jacobi_defect(ctx, f, g, h), *leibniz_defect(ctx, f, g, h))
+        for k, (defect, expected) in enumerate(zip(got, unfused_defects(ctx, f, g, h))):
+            assert_canonical(defect)
+            assert defect == expected
+            nonzero[k] += bool(defect)
+    return nonzero
+
+
+# a, b, c, z with [a,b] = c, [b,c] = a, [c,a] = a: antisymmetric but not Lie,
+# since [a,[b,c]] + [b,[c,a]] + [c,[a,b]] = -c; z is central
+NON_LIE = LieAlgebra(("a", "b", "c", "z"), {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {0: 1}})
+
+
+def test_jacobi_defect_of_a_table_that_is_not_lie(monkeypatch):
+    # the contexts refuse such a table, so its check is patched out here; the
+    # defect is then nonzero, and a fused sum that drops or mis-scales an
+    # outer bracket differs from the six-bracket formula
+    assert not validate(NON_LIE).ok
+    monkeypatch.setattr(poisson, "require_lie", lambda algebra: None)
+    free = PoissonContext.free(NON_LIE)
+    a, b, c = (NON_LIE.variable(i) for i in range(3))
+    assert jacobi_defect(free, a, b, c) == -c
+    level = make_orbit(NON_LIE, parse_polynomial("z - 5/3", NON_LIE.names)).context
+    for seed, ctx in enumerate([free, level]):
+        jacobi, product_rule, symmetrized = assert_fused_defects_match(ctx, seed, 25)
+        assert jacobi >= 5 and product_rule == symmetrized == 0
+
+
+def halved(algebra):
+    """The algebra with every structure constant halved: still Lie, over den 2."""
+    brackets = {pair: {k: c / 2 for k, c in row.items()} for pair, row in algebra.brackets.items()}
+    return LieAlgebra(algebra.names, brackets)
+
+
+def _unclosed_sl2r():
+    # x^2 - 1 is not bracket-closed, so the constructor refuses it; attached
+    # afterwards, the reduced products no longer commute with the bracket and
+    # both Leibniz defects are nonzero
+    ctx = PoissonContext.free(SL2R)
+    ctx.ideal = OrbitIdeal(sl2("x^2 - 1"))
+    return ctx
+
+
+FUSED_CONTEXTS = {
+    "free-halved-sl2r": lambda: PoissonContext.free(halved(SL2R)),
+    "halved-sl2r-level-1/2": lambda: make_orbit(halved(SL2R), sl2("x^2 + y^2 - z^2 - 1/2")).context,
+    "sl2r-level-3/2": lambda: casimir_orbit(SL2R, Fraction(3, 2)).context,
+    "heisenberg1-level-5/3": lambda: casimir_orbit(builtin("heisenberg", 1), Fraction(5, 3)).context,
+    "sl2r-unclosed-x^2-1": _unclosed_sl2r,
+}
+
+
+@pytest.mark.parametrize("name", FUSED_CONTEXTS)
+def test_fused_defects_match_the_unfused_formulas(name):
+    ctx = FUSED_CONTEXTS[name]()
+    if name.startswith("free-halved"):
+        assert ctx.den == 2
+    if name == "sl2r-level-3/2":
+        relation = ctx.ideal.relation
+        assert relation.den == 2 and relation.num[max(relation.num)] == -2
+    jacobi, product_rule, symmetrized = assert_fused_defects_match(ctx, 53, 25)
+    if name == "sl2r-unclosed-x^2-1":
+        assert jacobi >= 5 and product_rule >= 5 and symmetrized >= 5
+
+
+def test_fused_defects_keep_the_cap_and_variable_checks():
+    x, y, z = (sl2(f"{v}^{e}") for v, e in (("x", 2000), ("y", 16000), ("z", 16000)))
+    # {y^16000, z^16000} has degree 31999, and {x^2000, {y^16000, z^16000}} 33998
+    with pytest.raises(ValueError, match="a bracket of degree 33998 exceeds the cap 32767"):
+        jacobi_defect(FREE_SL2R, x, y, z)
+    with pytest.raises(ValueError, match="a product of degree 40000 exceeds the cap 32767"):
+        leibniz_defect(FREE_SL2R, sl2("x^20000"), sl2("y^20000"), sl2("z"))
+    h, f, g = builtin("heisenberg", 2).variable(0), sl2("x*y"), sl2("z^2 - x")
+    for ctx in (FREE_SL2R, casimir_orbit(SL2R, 1).context):
+        for args in [(h, f, g), (f, h, g), (f, g, h)]:
+            with pytest.raises(ValueError, match="variables"):
+                jacobi_defect(ctx, *args)
+            with pytest.raises(ValueError, match="variable"):
+                leibniz_defect(ctx, *args)
+        with pytest.raises(ValueError, match="variables"):
+            ctx.product(f, h)
+
+
+def test_product_is_the_reduced_product():
+    rng = random.Random(59)
+    for ctx in (FREE_SL2R, casimir_orbit(SL2R, Fraction(3, 2)).context, casimir_orbit(SL2R, 0).context):
+        for _ in range(20):
+            f, g = random_polynomial(rng, 3, 3), random_polynomial(rng, 3, 3)
+            p = ctx.product(f, g)
+            assert_canonical(p)
+            assert p == ctx.reduce(f * g)

@@ -113,6 +113,23 @@ def test_normal_form_matches_division_oracle(relation):
         assert nf == division_normal_form(f, divisor)
 
 
+@pytest.mark.parametrize("relation", NORMAL_FORM_RELATIONS + ["z^2 - x^2 - y^2 + 1", "-3/2*z^2 + x*y"])
+def test_reduce_numerators_matches_division_oracle(relation):
+    # numerators with a common factor and zeros over a denominator of either
+    # sign, modulo relations whose leading coefficient is also -1 or -3/2, so
+    # that memo denominators are negative
+    divisor = p(relation)
+    rng = random.Random(67)
+    for _ in range(30):
+        f = random_polynomial(rng, 3, 6, max_terms=6)
+        k, den = rng.choice([1, 2, 6]), rng.choice([-6, -1, 1, 4])
+        num = {m: k * a for m, a in f.num.items()}
+        num[pack(random_monomial(rng, 3, 6))] = 0
+        nf = Reducer(divisor).reduce_numerators(num, den * f.den)
+        assert_canonical(nf)
+        assert nf == division_normal_form(f * Fraction(k, den), divisor)
+
+
 def test_normal_form_result_avoids_leading_monomial():
     divisor = p("x^2 + y^2 - z^2 - 1")
     nf = Reducer(divisor).reduce(p("z^4 + x*z^3 - 2*z^2 + y"))
@@ -213,6 +230,29 @@ def test_parse_rejects_trailing_junk():
 def test_parse_rejects_zero_denominator():
     with pytest.raises(PolynomialSyntaxError):
         p("1/0*x")
+
+
+def test_parse_sums_repeated_terms_like_monomial_polynomials():
+    # seeded texts in which monomials repeat, terms cancel and a variable
+    # recurs within a term, against a sum of Polynomial.monomial terms
+    rng = random.Random(73)
+    for _ in range(40):
+        pieces, expected = [], Polynomial.zero(3)
+        for k in range(rng.randint(1, 12)):
+            m = random_monomial(rng, 3, 3)
+            c = Fraction(rng.randint(0, 9), rng.choice([1, 1, 2, 7]))
+            sign = rng.choice("+-")
+            factors = [str(c)] if c != 1 or not any(m) else []
+            for name, e in zip(XYZ, m):
+                if e > 1 and rng.random() < 0.5:
+                    factors += [name, f"{name}^{e - 1}"]
+                elif e:
+                    factors.append(name if e == 1 else f"{name}^{e}")
+            pieces.append(("-" if sign == "-" else "" if k == 0 else "+") + " " + "*".join(factors))
+            expected = expected + Polynomial.monomial(3, m, c if sign == "+" else -c)
+        result = p(" ".join(pieces))
+        assert_canonical(result)
+        assert result == expected
 
 
 LIMIT = "exceeds the limit of 4300"
