@@ -85,12 +85,13 @@ class RowBasis:
             _clear(row, rows[p], p)
         return row
 
-    def _add(self, row: Row) -> bool:
+    def _add(self, row: Row) -> Row | None:
+        """Store the residual of a fresh row; the stored row, None if it was in the span."""
         row = self._reduce(row)
         if not row:
-            return False
-        self._rows[min(row)] = _content_reduce(row)
-        return True
+            return None
+        stored = self._rows[min(row)] = _content_reduce(row)
+        return stored
 
     def rref(self) -> dict[int, Row]:
         """Back-substituted rows keyed by pivot, in pivot order: each is zero in
@@ -122,7 +123,7 @@ class RowBasis:
 
     def insert(self, pairs: Pairs) -> bool:
         """Add a row of (column, nonzero int) pairs; True if the span grew."""
-        return self._add(self._row(pairs))
+        return self._add(self._row(pairs)) is not None
 
     def contains(self, pairs: Pairs) -> bool:
         return not self._reduce(self._row(pairs))

@@ -17,7 +17,10 @@ nonzero exponent m_i (read from the nonzero fields of m only), each j in
 ``ad[i]`` and each term b x^w of g with w_j != 0, the bracket gets
 m_i w_j a b c_ij^k at the key m + w + (E_k - E_i - E_j): one integer
 addition per target monomial.  So a linear first factor {x_i, g}, as in
-every bracket span, reads only ``ad[i]``.  ``ad_numerators`` reads the
+every bracket span, reads only ``ad[i]``.  Every claim brackets with a
+linear first factor (or a linear second one, in the relation check); a
+general one serves only the axiom defects, the witness search of a failing
+grading record and the tests.  ``ad_numerators`` reads the
 same table for {x_i, x^m} at every generator i at once, as prop1's operator
 takes them, without building a ``Polynomial``: each term is m_j c_ij^k at
 x^(m - E_j + E_k).  Coefficients stay integer numerators: the structure

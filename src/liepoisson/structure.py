@@ -22,6 +22,7 @@ which is Poisson.  Reports serialize deterministically.
 from __future__ import annotations
 
 import json
+from bisect import insort
 from enum import Enum
 from itertools import groupby
 from operator import itemgetter
@@ -87,11 +88,11 @@ class Span:
 
     def is_graded(self) -> bool:
         """Whether the span is the direct sum of its degree components, that
-        is, whether every degree component of every basis polynomial lies in
-        it (taking a component is linear, so any spanning set would do)."""
-        return all(
-            self.contains(c) for p in self.basis() for d in range(p.degree() + 1) if (c := p.graded_component(d))
-        )
+        is, whether its reduced echelon basis is homogeneous: the reduced
+        echelon bases of a graded span's degree components have disjoint
+        supports, so together they are reduced echelon, and by uniqueness
+        they are the span's basis."""
+        return all(p.is_homogeneous() for p in self.basis())
 
 
 def _polynomials(nvars: int, monomials: Sequence[int], rows: RowBasis) -> list[Polynomial]:
@@ -446,28 +447,36 @@ def poisson_ideal_closure(ctx: PoissonContext, generators: Sequence[Polynomial],
     ``is_graded()``.
 
     By the product rule these moves exhaust Poisson-ideal closure at the
-    bound.  The moves are linear, so one pass that applies them to every
-    admitted element, including those admitted during the pass, leaves each
-    element's images in the span: the span is closed once the pass ends.
-    Ranks are capped by the ambient dimension, so this terminates.
+    bound.  They are applied to the span's stored rows, each read as a
+    polynomial.  The stored rows are a basis of the span; their pivots are
+    their leading columns, and the monomials come highest degree first, so
+    the rows pivoted below the bound span the part of the span below it,
+    combinations of elements at the bound that fall below it included.  So
+    once every stored row has had its moves, the span is the closure,
+    whatever order they ran in.  Pending rows are taken sparsest first, and
+    the moves stop once the span is everything.
     """
     span = Span(ctx.basis_monomials_up_to(degree_bound), ctx.nvars)
-    elements = [g for g in _reduced_generators(ctx, generators, degree_bound) if span.insert(g)]
-    # The loop also visits the elements appended during it, and stops once the
-    # span is everything, when no later move can be accepted.
+    rows, index, monomials, size = span.rows, span._index, span.monomials, len(span.monomials)
+    below = len(ctx.basis_monomials(degree_bound))  # the first column below the bound
+    pending: list[tuple[int, int, dict[int, int]]] = []  # (-nonzeros, -pivot, row): pop() takes the sparsest
+
+    def admit(p: Polynomial) -> None:
+        row = rows._add({index[m]: a for m, a in p.num.items()})
+        if row is not None:
+            insort(pending, (-len(row), -min(row), row))
+
+    for g in _reduced_generators(ctx, generators, degree_bound):
+        admit(g)
     variables = [ctx.variable(i) for i in range(ctx.nvars)]
-    for e in elements:
-        if span.rank == len(span.monomials):
-            break
-        multiply = e.degree() < degree_bound
+    while pending and rows.rank < size:
+        row = pending.pop()[2]
+        multiply = min(row) >= below
+        e = Polynomial.from_numerators(ctx.nvars, {monomials[j]: a for j, a in row.items()}, 1)
         for gen in variables:
             if multiply:
-                p = ctx.product(gen, e)
-                if span.insert(p):
-                    elements.append(p)
-            p = ctx.bracket(gen, e)
-            if span.insert(p):
-                elements.append(p)
+                admit(ctx.product(gen, e))
+            admit(ctx.bracket(gen, e))
     return span
 
 
@@ -550,15 +559,22 @@ def verify_homogeneous_ideals(orbit: OrbitDescriptor, k: int, degree_bound: int)
     report = _orbit_report("nilpotent-ideals", ctx, k=k, degree_bound=degree_bound)
 
     monomials = {d: [ctx.monomial(m) for m in ctx.basis_monomials(d)] for d in range(1, degree_bound + 1)}
+    # {p_a, p_b} = sum_i dp_a/dx_i {x_i, p_b} over the normal linear x_i (a
+    # normal p_a has no other), and the normal form of a homogeneous
+    # polynomial is homogeneous of its degree.  So a record (a, b) holds once
+    # the sources {x_i, m} with deg m = b, the pairs of record (1, b), are
+    # homogeneous of degree b, and only for a failing b are its pairs searched.
+    failing: set[int] = set()
     for a in range(1, degree_bound + 1):
         for b in range(a, degree_bound + 2 - a):
             brackets = ((pa, pb, ctx.bracket(pa, pb)) for pa in monomials[a] for pb in monomials[b])
-            bad = next(
+            bad = None if a > 1 and b not in failing else next(
                 (t for t in brackets if t[2] and (not t[2].is_homogeneous() or t[2].degree() != a + b - 1)),
                 None,
             )
             record = {"check": "bracket_grading", "degrees": [a, b], "verdict": "pass" if bad is None else "fail"}
             if bad is not None:
+                failing.add(b)
                 fa, fb, fbr = map(ctx.format, bad)
                 record["witness"] = f"{{{fa}, {fb}}} = {fbr}"
             report.records.append(record)

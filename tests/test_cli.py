@@ -74,6 +74,20 @@ def test_probe_simplicity():
     assert status == EXIT_PASS
 
 
+@pytest.mark.parametrize("gen", ["2*x*z + y", "-2*y^2 - 1"])
+def test_probe_closure_at_bound_2_is_everything(gen):
+    # Each generator's closure holds an element below the bound that is a
+    # combination of two elements at it; multiplying that one by the
+    # generators reaches all 9 dimensions.  A closure that multiplied only
+    # the elements it admitted stopped at rank 8 (fail) and 6 (proper).
+    status, text = run(["probe", "simplicity", "--algebra", "sl2r", "--casimir", "1", "--gen", gen,
+                        "--max-degree", "2", "--json"])
+    assert status == EXIT_PASS
+    [record] = json.loads(text)["records"]
+    assert record == {"generator": gen, "contains_one": True, "proper": False, "rank": 9, "dimension": 9,
+                      "verdict": "pass"}
+
+
 def test_validate_builtin_and_file(tmp_path):
     status, text = run(["validate", "--algebra", "so3"])
     assert status == EXIT_PASS

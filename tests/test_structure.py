@@ -5,6 +5,7 @@ Derived expectations are recomputed here through independent routes
 being compared with the package's elimination results.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from liepoisson.liealg import LieAlgebra, builtin
 from liepoisson.linalg import RowBasis
 from liepoisson.orbit import casimir_orbit, make_orbit
 from liepoisson.poisson import PoissonContext
-from liepoisson.poly import Polynomial, monomials_of_degree, parse_polynomial, unpack
+from liepoisson.poly import FIELD_BITS, Polynomial, monomials_of_degree, parse_polynomial, unpack
 from liepoisson.structure import (
     Membership,
     Span,
@@ -36,7 +37,17 @@ from liepoisson.structure import (
     verify_thm2,
 )
 
-from oracles import division_normal_form, kernel_basis, leibniz_bracket, rref, rref_rank
+from oracles import (
+    divides,
+    division_normal_form,
+    graded_lex_key,
+    kernel_basis,
+    leibniz_bracket,
+    nonzero_random_polynomial,
+    rref,
+    rref_rank,
+    terms_mul,
+)
 from test_poisson import SCALED_SL2R
 
 SL2R = builtin("sl2r")
@@ -402,23 +413,25 @@ def test_closure_of_shifted_casimir_is_its_multiples():
     assert not closure.is_graded()
 
 
+def _dense_rows(polys, monomials):
+    """Dense ``Fraction`` rows of polynomials in x, y, z over monomial keys."""
+    index = {unpack(m, 3): i for i, m in enumerate(monomials)}
+    out = []
+    for p in polys:
+        row = [Fraction(0)] * len(index)
+        for m, c in p.terms.items():
+            row[index[m]] = c
+        out.append(row)
+    return out
+
+
 def _oracle_is_graded(span):
     """dim V == sum over d of dim pi_d(V), on dense rows of a spanning set."""
-    index = {unpack(m, span.nvars): i for i, m in enumerate(span.monomials)}
-
-    def rows(polys):
-        out = []
-        for p in polys:
-            row = [Fraction(0)] * len(index)
-            for m, c in p.terms.items():
-                row[index[m]] = c
-            out.append(row)
-        return out
-
     spanning = span.basis()
-    degrees = {sum(m) for m in index}
-    components = sum(rref_rank(rows([p.graded_component(d) for p in spanning])) for d in degrees)
-    return rref_rank(rows(spanning)) == components
+    degrees = {sum(unpack(m, 3)) for m in span.monomials}
+    components = sum(rref_rank(_dense_rows([p.graded_component(d) for p in spanning], span.monomials))
+                     for d in degrees)
+    return rref_rank(_dense_rows(spanning, span.monomials)) == components
 
 
 def _span_of(polys, bound):
@@ -426,6 +439,28 @@ def _span_of(polys, bound):
     for p in polys:
         span.insert(p)
     return span
+
+
+def _seeded_span(seed, graded):
+    """Seeded homogeneous polynomials of degree at most 3 and sums of two of
+    them of different degrees, inserted in a seeded order.  The span that is
+    not graded also gets a*u + b*v for a linear u and a cubic v that no other
+    polynomial has, so its linear part a*u is in no combination of them."""
+    rng = random.Random(f"graded-{seed}")
+    lone = (rng.choice(monomials_of_degree(3, 1)), rng.choice(monomials_of_degree(3, 3)))
+    homogeneous = []
+    for _ in range(rng.randint(2, 5)):
+        support = [m for m in monomials_of_degree(3, rng.randint(0, 3)) if m not in lone]
+        chosen = rng.sample(support, min(len(support), rng.randint(1, 3)))
+        homogeneous.append(Polynomial(3, {m: rng.choice([-2, -1, 1, 3]) for m in chosen}))
+    polys = homogeneous + [f + g for f in homogeneous for g in homogeneous if f.degree() < g.degree()][:3]
+    if not graded:
+        polys.append(Polynomial(3, {lone[0]: rng.choice([-1, 2]), lone[1]: rng.choice([1, 3])}))
+    rng.shuffle(polys)
+    return _span_of(polys, 3)
+
+
+SEEDED_SPANS = [(seed, graded) for seed in range(4) for graded in (True, False)]
 
 
 @pytest.mark.parametrize(
@@ -436,8 +471,10 @@ def _span_of(polys, bound):
         (lambda: _span_of([], 2), True),
         (lambda: poisson_ideal_closure(casimir_orbit(SL2R, 0).context, [SL2R.variable(2)], 5), True),
         (lambda: poisson_ideal_closure(FREE_SL2R, [sl2("x^2 + y^2 - z^2 - 1")], 4), False),
+        *[(lambda seed=seed, graded=graded: _seeded_span(seed, graded), graded) for seed, graded in SEEDED_SPANS],
     ],
-    ids=["x+y2-and-y2", "x+y2", "empty", "cone-closure-z-5", "shifted-casimir-4"],
+    ids=["x+y2-and-y2", "x+y2", "empty", "cone-closure-z-5", "shifted-casimir-4",
+         *[f"seeded-{seed}-{'graded' if graded else 'not-graded'}" for seed, graded in SEEDED_SPANS]],
 )
 def test_span_is_graded_matches_the_component_rank_oracle(build, graded):
     span = build()
@@ -467,6 +504,50 @@ def test_closure_is_closed_under_every_move(build):
             assert closure.contains(ctx.bracket(gen, e))
             if e.degree() + 1 <= bound:
                 assert closure.contains(ctx.reduce(gen * e))
+
+
+CLOSURE_CONTEXTS = {
+    "free": (FREE_SL2R, None),
+    **{f"level{c}": (casimir_orbit(SL2R, c).context, sl2("x^2 + y^2 - z^2") - c) for c in (1, 0, -1)},
+}
+
+
+@pytest.mark.parametrize("name", list(CLOSURE_CONTEXTS))
+def test_closure_is_closed_against_the_oracles(name):
+    # Each closure is checked with the recursive Leibniz bracket, the
+    # division normal form and plain rational elimination: every reduced
+    # echelon row's bracket with each x_i lies in the span, and so does
+    # x_i times the row when the row is below the bound.  A closure that
+    # multiplied only the elements it admitted failed this on such samples.
+    ctx, relation = CLOSURE_CONTEXTS[name]
+    nf = (lambda p: p) if relation is None else (lambda p: division_normal_form(p, relation))
+    rng = random.Random(f"closure-{name}")
+    one = Polynomial.constant(3, 1)
+    for _ in range(25):
+        bound, count = rng.randint(2, 5), rng.randint(1, 3)
+        gens = []
+        while len(gens) < count:
+            g = nf(nonzero_random_polynomial(rng, 3, 2, max_terms=3))
+            if g:
+                gens.append(g)
+        closure = poisson_ideal_closure(ctx, gens, bound)
+        basis = closure.basis()
+        images = list(gens)
+        for e in basis:
+            for i in range(3):
+                x = SL2R.variable(i)
+                images.append(nf(leibniz_bracket(SL2R, x, e)))
+                if e.degree() < bound:
+                    images.append(nf(Polynomial(3, terms_mul(x.terms, e.terms))))
+        rows = _dense_rows(basis, closure.monomials)
+        assert rref_rank(rows) == closure.rank
+        if closure.rank < len(closure.monomials):  # else the rank alone shows it is everything
+            assert rref_rank(rows + _dense_rows(images, closure.monomials)) == closure.rank
+        if closure.contains(one):
+            assert closure.rank == len(closure.monomials)
+        if len(gens) > 1:
+            swapped = [gens[1], gens[0], *gens[2:]]
+            assert poisson_ideal_closure(ctx, swapped, bound).rank == closure.rank
 
 
 def _insert_outside_support_raises(span):
@@ -613,6 +694,66 @@ def test_homogeneous_ideals_name_a_bracket_of_the_wrong_degree(monkeypatch):
     assert grading[1] == {"check": "bracket_grading", "degrees": [1, 2], "verdict": "fail",
                           "witness": "{z, y*z} = x"}
     assert report.verdict == "fail"
+
+
+def _grading_records(report):
+    return [r for r in report.records if r["check"] == "bracket_grading"]
+
+
+def _all_pairs_grading(bracket, monomials, degree_bound, format):
+    """The bracket_grading records from every monomial pair of each (a, b),
+    in the report's order, each failure with its first misgraded pair."""
+    records = []
+    for a in range(1, degree_bound + 1):
+        for b in range(a, degree_bound + 2 - a):
+            record = {"check": "bracket_grading", "degrees": [a, b], "verdict": "pass"}
+            for pa in monomials[a]:
+                bad = next((pb for pb in monomials[b] if (br := bracket(pa, pb))
+                            and (not br.is_homogeneous() or br.degree() != a + b - 1)), None)
+                if bad is not None:
+                    record.update(verdict="fail", witness=f"{{{format(pa)}, {format(bad)}}} = {format(br)}")
+                    break
+            records.append(record)
+    return records
+
+
+def test_homogeneous_ideals_grading_matches_the_all_pairs_oracle():
+    # Records decided from the sources {x_i, m} against every monomial pair,
+    # bracketed by the recursive Leibniz oracle and divided by the relation.
+    relation = sl2("x^2 + y^2 - z^2")
+    lead = max(relation.terms, key=graded_lex_key)
+    monomials = {d: [Polynomial.monomial(3, m) for m in sorted(monomials_of_degree(3, d), key=graded_lex_key,
+                                                              reverse=True) if not divides(lead, m)]
+                 for d in range(1, 10)}
+    oracle = _all_pairs_grading(lambda f, g: division_normal_form(leibniz_bracket(SL2R, f, g), relation),
+                                monomials, 9, FREE_SL2R.format)
+    cone = casimir_orbit(SL2R, 0)
+    for bound in range(1, 10):
+        expected = [r for r in oracle if sum(r["degrees"]) <= bound + 1]
+        for k in (1, 2):
+            if k <= bound:
+                assert _grading_records(verify_homogeneous_ideals(cone, k, bound)) == expected
+
+
+def test_homogeneous_ideals_failing_source_gives_the_all_pairs_records():
+    # A bracket table whose [x, y] gains the constant 1 (and [y, x] its
+    # negative) adds a term one degree low to every {x, m} with y in m, so
+    # every record fails, and those with a > 1 search their pairs for the
+    # witness the all-pairs path names.
+    cone = casimir_orbit(SL2R, 0)
+    ctx = cone.context
+    to_one = -(1 + (1 << FIELD_BITS) + (2 << 3 * FIELD_BITS))  # x*y*m to m: two degrees down
+    for i, j, c in ((0, 1, 1), (1, 0, -1)):
+        ctx._ad[i] = [(jj, [*deltas, (to_one, c)] if jj == j else deltas) for jj, deltas in ctx._ad[i]]
+    bound = 4
+    report = verify_homogeneous_ideals(cone, 1, bound)
+    monomials = {d: [ctx.monomial(m) for m in ctx.basis_monomials(d)] for d in range(1, bound + 1)}
+    expected = _all_pairs_grading(ctx.bracket, monomials, bound, ctx.format)
+    assert _grading_records(report) == expected
+    assert [r["verdict"] for r in expected] == ["fail"] * len(expected)
+    assert expected[1]["witness"] == "{y, x*z} = y^2 + 2*x^2 - z"  # {y, x} = z - 1, and z^2 = x^2 + y^2
+    assert expected[4] == {"check": "bracket_grading", "degrees": [2, 2], "verdict": "fail",
+                           "witness": "{y*z, x*z} = 2*y^2*z + 2*x^2*z - y^2 - x^2"}
 
 
 def test_homogeneous_ideals_rejects_bad_inputs():
