@@ -9,10 +9,15 @@ is divided by the gcd of its entries once, after the last step.  Only
 nonzero entries are touched, and no rational arithmetic happens until
 results are read out.  Pivots are always the leading column, so the reduced
 echelon form, its pivot set, the solution with free variables zero and the
-kernel basis are canonical.  Sums and intersections of row spaces are one
-Zassenhaus elimination.  The dense functions below ``RowBasis`` (vectors
-are lists of ``Fraction``, matrices lists of rows) are called by no claim;
-they remain because the benchmark's layer hooks wrap them by name.
+kernel basis are canonical.  A basis inserts in one of two modes.
+Semi-reduced (the default), stored rows may have entries in later pivot
+columns, so a fresh row can cascade through clearings.  Full
+(Gauss-Jordan), the stored rows are the reduced echelon form, and a fresh
+row is cleared once per pivot in its support.  Sums and intersections of
+row spaces are one Zassenhaus elimination.  The dense functions below
+``RowBasis`` (vectors are lists of ``Fraction``, matrices lists of rows)
+are called by no claim; they remain because the benchmark's layer hooks
+wrap them by name.
 """
 
 from __future__ import annotations
@@ -66,13 +71,21 @@ class RowBasis:
     """Incrementally maintained row space with exact membership queries.
 
     Rows are sparse integer rows keyed by their pivot, which is always the
-    row's leading column; insertion and membership reduce a row against
-    them until its leading column is not a pivot or it vanishes.
+    row's leading column.  Semi-reduced, insertion and membership reduce a
+    row against them until its leading column is not a pivot or it
+    vanishes.  With ``full=True`` no stored row has an entry in another
+    row's pivot column, and the column index ``_cols`` maps each column to
+    the pivots of the stored rows that have it.  A row then reduces in one
+    pass over the pivots in its support, and accepting a row with pivot q
+    clears column q, in place, from the rows indexed there, whose pivots lie
+    left of q.  Full mode suits a span that ends near full rank and meets
+    many rows it holds; a thin span in a wide space fills in under it.
     """
 
-    def __init__(self, width: int):
+    def __init__(self, width: int, full: bool = False):
         self.width = width
         self._rows: dict[int, Row] = {}
+        self._cols: dict[int, set[int]] | None = {} if full else None
 
     @property
     def rank(self) -> int:
@@ -81,6 +94,10 @@ class RowBasis:
     def _reduce(self, row: Row) -> Row:
         """Reduce a fresh row in place to its residual, empty iff it is in the span."""
         rows = self._rows
+        if self._cols is not None:
+            for p in [j for j in row if j in rows]:
+                _clear(row, rows[p], p)
+            return row
         while row and (p := min(row)) in rows:
             _clear(row, rows[p], p)
         return row
@@ -90,13 +107,28 @@ class RowBasis:
         row = self._reduce(row)
         if not row:
             return None
-        stored = self._rows[min(row)] = _content_reduce(row)
+        q, stored, rows, cols = min(row), _content_reduce(row), self._rows, self._cols
+        if cols is not None:
+            for p in cols.pop(q, ()):
+                other = rows[p]
+                _clear(other, stored, q)
+                for j in stored:
+                    has = cols.setdefault(j, set())
+                    if j in other:
+                        has.add(p)
+                    else:
+                        has.discard(p)
+                rows[p] = _content_reduce(other)
+            for j in stored:
+                cols.setdefault(j, set()).add(q)
+        rows[q] = stored
         return stored
 
     def rref(self) -> dict[int, Row]:
         """Back-substituted rows keyed by pivot, in pivot order: each is zero in
         every other pivot column, and dividing it by its pivot entry gives the
-        canonical reduced echelon row."""
+        canonical reduced echelon row.  Fully reduced rows are copied as they
+        stand."""
         done: dict[int, Row] = {}
         for p in sorted(self._rows, reverse=True):
             row = dict(self._rows[p])

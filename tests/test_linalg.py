@@ -275,6 +275,55 @@ def test_queries_leave_both_operands_unchanged(m, data):
     assert tail == tail_before
 
 
+def assert_fully_reduced(rb):
+    """No stored row has an entry in another row's pivot column, and the
+    column index lists exactly the stored rows that have each column."""
+    for p, row in rb._rows.items():
+        assert min(row) == p
+        assert not any(j in rb._rows for j in row if j != p)
+    index = {}
+    for p, row in rb._rows.items():
+        for j in row:
+            index.setdefault(j, set()).add(p)
+    assert {j: ps for j, ps in rb._cols.items() if ps} == index
+
+
+def monic(rb):
+    """``rb.rref()`` with each row divided by its pivot entry: the canonical
+    reduced echelon form, which fixes the sign ``rref()`` leaves open."""
+    return {p: {j: F(a, row[p]) for j, a in row.items()} for p, row in rb.rref().items()}
+
+
+def spanned(width, rows):
+    rb = RowBasis(width)
+    for row in rows:
+        rb.insert(row)
+    return monic(rb)
+
+
+@given(sparse_matrices(), st.data())
+@settings(deadline=None, max_examples=50)
+def test_full_and_semi_reduced_insertion_agree_with_the_oracle(m, data):
+    cols = len(m[0])
+    semi, full = RowBasis(cols), RowBasis(cols, full=True)
+    for row in m:
+        assert full.insert(pairs(row)) is semi.insert(pairs(row))
+        assert_fully_reduced(full)
+    reduced, pivots = rref(m)
+    assert full.rank == semi.rank == len(pivots)
+    assert monic(full) == monic(semi)
+    assert full.reduced_rows() == semi.reduced_rows() == reduced[: len(pivots)]
+    # fully reduced, the stored rows are the back-substituted ones as they stand
+    assert full.rref() == dict(sorted(full._rows.items()))
+    probes = [pairs(row) for row in m]
+    probes += [pairs(data.draw(st.lists(small_st, min_size=cols, max_size=cols))) for _ in range(3)]
+    for v in probes:
+        if v:
+            assert full.contains(v) is semi.contains(v)
+    k = data.draw(st.integers(0, cols))
+    assert spanned(cols - k, full.tail(k)) == spanned(cols - k, semi.tail(k))
+
+
 def test_row_space_intersection_planes():
     a = fr([[1, 0, 0], [0, 1, 0]])
     b = fr([[0, 1, 0], [0, 0, 1]])

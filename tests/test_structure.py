@@ -24,6 +24,7 @@ from liepoisson.structure import (
     _bracket_sources,
     _free_degree_split,
     _ideal_truncation,
+    _polynomials,
     derived_membership,
     derived_span,
     ideal_square_check,
@@ -48,6 +49,7 @@ from oracles import (
     rref_rank,
     terms_mul,
 )
+from test_higher_rank import PROP1_CASES, borel
 from test_poisson import SCALED_SL2R
 
 SL2R = builtin("sl2r")
@@ -314,6 +316,53 @@ def test_prop1_fails_for_heisenberg():
     assert by_degree[0]["verdict"] == "pass"
     assert by_degree[1]["verdict"] == "fail"
     assert by_degree[1]["witness"] == "z"
+
+
+def zassenhaus_prop1_records(algebra, max_degree):
+    """prop1's records with every union and overlap witness from one
+    Zassenhaus elimination, over a semi-reduced derived span filled from
+    the top monomial down."""
+    ctx = PoissonContext.free(algebra)
+    records = []
+    for n in range(max_degree + 1):
+        center, _ = _free_degree_split(ctx, n)
+        derived = Span(center.monomials, ctx.nvars)
+        for m in center.monomials:
+            for num in ctx.ad_numerators(m):
+                derived.insert(Polynomial.from_numerators(ctx.nvars, num, 1))
+        union, overlap = center.rows.sum_and_intersection(derived.rows)
+        ambient = len(center.monomials)
+        ok = center.rank + derived.rank == ambient == union
+        record = {
+            "degree": n,
+            "dims": {"ambient": ambient, "center": center.rank, "derived": derived.rank, "union": union},
+            "verdict": "pass" if ok else "fail",
+        }
+        if not ok and overlap.rank:
+            record["witness"] = ctx.format(_polynomials(ctx.nvars, center.monomials, overlap)[0])
+        records.append(record)
+    return records
+
+
+# name: (builder, max degree); the top-down semi-reduced span cascades on
+# sl4 and the eight-operation sl3 at degree 5 (2-4 s each), so those stop at 4
+UNION_CASES = {
+    **{name: (build, min(d, 4) if name in ("sl4", "sl3-eight-operations") else d)
+       for name, (build, _, d) in PROP1_CASES.items()},
+    "borel-sl3": (lambda: borel(3), 3),
+    "borel-sl4": (lambda: borel(4), 3),
+    **{f"heisenberg{n}": (lambda n=n: builtin("heisenberg", n), 6) for n in (1, 2, 3)},
+    "shear-sl2r": (lambda: FREE_SPLIT_ALGEBRAS["shear-sl2r"], 9),
+}
+
+
+@pytest.mark.parametrize("name", UNION_CASES)
+def test_prop1_union_by_reduction_matches_zassenhaus(name):
+    # verify_prop1 decides each union from the center rows' residuals modulo
+    # the fully reduced derived span and runs Zassenhaus only for a witness
+    build, max_degree = UNION_CASES[name]
+    algebra = build()
+    assert verify_prop1(algebra, max_degree).records == zassenhaus_prop1_records(algebra, max_degree)
 
 
 def test_membership_on_the_hyperboloid():
