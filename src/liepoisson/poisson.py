@@ -16,31 +16,32 @@ for E_k the packed key of x_k (see ``poly``).  For a term a x^m of f, each
 nonzero exponent m_i (read from the nonzero fields of m only), each j in
 ``ad[i]`` and each term b x^w of g with w_j != 0, the bracket gets
 m_i w_j a b c_ij^k at the key m + w + (E_k - E_i - E_j): one integer
-addition per target monomial.  So a linear first factor {x_i, g}, as in
-every bracket span, reads only ``ad[i]``.  Every claim brackets with a
-linear first factor (or a linear second one, in the relation check); a
-general one serves only the axiom defects, the witness search of a failing
-grading record and the tests.  ``ad_numerators`` reads the
-same table for {x_i, x^m} at every generator i at once, as prop1's operator
-takes them, without building a ``Polynomial``: each term is m_j c_ij^k at
-x^(m - E_j + E_k).  Coefficients stay integer numerators: the structure
-constants over one common denominator ``den``, times the operands'
-numerators, over the product of the three denominators.
+addition per target monomial.  So a linear first factor {x_i, g} reads
+only ``ad[i]``.  ``ad_numerators`` reads the same table for {x_i, x^m} at
+every generator i at once, without building a ``Polynomial``: each term is
+m_j c_ij^k at x^(m - E_j + E_k).  Coefficients stay integer numerators: the
+structure constants over one common denominator ``den``, times the
+operands' numerators, over the product of the three denominators.
 
 That loop nest, ``_add_bracket``, adds s times these numerators into a
-dict the caller passes, as ``poly.add_product`` does for a product.
-``bracket`` and ``product`` are one kernel call each plus one normal-form
-step, which checks the degree cap and, on an orbit, reduces once.  The
-axiom defects sum their outer brackets and products in one dict over the
-lcm of the denominators, so each defect is also reduced once; a normal
-form modulo one divisor is linear and unique, so the result is the one
-the separately reduced terms would sum to.
+dict the caller passes, as ``poly.add_product`` does for a product; both
+take numerators keyed by monomial.  Every claim brackets through these
+kernels and no ``Polynomial``: each bracket span reads its sources from
+``ad_numerators``, and the closures and the lemma bracket a stored row
+with x_i through ``_add_bracket`` (see ``structure``).  ``bracket`` and
+``product`` are one kernel call each plus one normal-form step, which
+checks the degree cap and, on an orbit, reduces once.  ``bracket`` serves
+the axiom defects, the relation check, the witness search of a failing
+grading record and the tests.  The axiom defects sum their outer brackets
+and products in one dict over the lcm of the denominators, so each defect
+is also reduced once; a normal form modulo one divisor is linear and
+unique, so the result is the one the separately reduced terms would sum to.
 """
 
 from __future__ import annotations
 
 from math import lcm
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .liealg import LieAlgebra, require_lie
 from .poly import (
@@ -128,27 +129,24 @@ class PoissonContext:
 
     def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
         """Lie-Poisson bracket, reduced to normal form in quotient mode."""
-        acc: dict[int, int] = {}
-        self._add_bracket(acc, f, g)
-        return self._normal_form(acc, f.den * g.den * self._den, "bracket")
+        if f.nvars != self.nvars or g.nvars != self.nvars:
+            raise ValueError("polynomials do not match the context's variables")
+        return self._normal_form(self._add_bracket({}, f.num, g.num), f.den * g.den * self._den, "bracket")
 
     def product(self, f: Polynomial, g: Polynomial) -> Polynomial:
         """The product f * g, reduced to normal form in quotient mode."""
         if f.nvars != self.nvars or g.nvars != self.nvars:
             raise ValueError("polynomials do not match the context's variables")
-        acc: dict[int, int] = {}
-        add_product(acc, f, g)
-        return self._normal_form(acc, f.den * g.den, "product")
+        return self._normal_form(add_product({}, f.num, g.num), f.den * g.den, "product")
 
-    def _add_bracket(self, acc: dict[int, int], f: Polynomial, g: Polynomial, s: int = 1) -> None:
-        """Add ``s`` times the numerators of {f, g}, which lie over
-        ``f.den * g.den * den``, into ``acc``: the package's one bracket loop."""
-        if f.nvars != self.nvars or g.nvars != self.nvars:
-            raise ValueError("polynomials do not match the context's variables")
-        n, ad, g_terms = self.nvars, self._ad, g.num.items()
+    def _add_bracket(self, acc: dict[int, int], f: Mapping[int, int], g: Mapping[int, int], s: int = 1) -> dict:
+        """Add ``s`` times the bracket of the numerators ``f`` and ``g``, keyed
+        by monomial, into ``acc`` and return it; for numerators over dens a
+        and b it lies over ``a * b * den``.  The package's one bracket loop."""
+        n, ad, g_terms = self.nvars, self._ad, g.items()
         get = acc.get
         below_degree = (1 << FIELD_BITS * n) - 1
-        for ma, ca in f.num.items():
+        for ma, ca in f.items():
             ca *= s
             rest = ma & below_degree
             while rest:  # the nonzero exponent fields e = m_i of ma, from the top
@@ -163,6 +161,7 @@ class PoissonContext:
                             for delta, c in deltas:
                                 m = m0 + delta
                                 acc[m] = get(m, 0) + w * c
+        return acc
 
     def _normal_form(self, acc: dict[int, int], den: int, what: str) -> Polynomial:
         """The canonical polynomial ``acc / den``, reduced once in quotient
@@ -174,7 +173,8 @@ class PoissonContext:
 
     def ad_numerators(self, m: int) -> list[dict[int, int]]:
         """Numerators over ``den`` of {x_i, x^m} for each generator i, keyed by
-        monomial; unreduced in quotient mode, and zero where terms cancel."""
+        monomial, with a zero where terms cancel.  They are not reduced: on an
+        orbit the span that takes them reduces them (``structure.Span.row``)."""
         out = []
         m1 = m + (1 << FIELD_BITS * self.nvars)  # x^m with the degree unit of a linear factor
         for i, row in enumerate(self._ad):
@@ -216,7 +216,7 @@ def jacobi_defect(ctx: PoissonContext, f: Polynomial, g: Polynomial, h: Polynomi
     den = lcm(*(a.den * b.den for a, b in pairs))
     acc: dict[int, int] = {}
     for a, b in pairs:
-        ctx._add_bracket(acc, a, b, den // (a.den * b.den))
+        ctx._add_bracket(acc, a.num, b.num, den // (a.den * b.den))
     return ctx._normal_form(acc, den * ctx.den, "bracket")
 
 
@@ -232,8 +232,7 @@ def leibniz_defect(
     it and is reduced once.
     """
     fg, gh, fh = ctx.product(f, g), ctx.product(g, h), ctx.product(f, h)
-    lead: dict[int, int] = {}
-    ctx._add_bracket(lead, fg, h)
+    lead = ctx._add_bracket({}, fg.num, h.num)
     check_degree(lead, ctx.nvars, "bracket")
     lead_den = fg.den * h.den * ctx.den
     products = [(f, ctx.bracket(g, h)), (g, ctx.bracket(f, h))]
@@ -246,7 +245,7 @@ def _lead_minus(
     ctx: PoissonContext,
     lead: dict[int, int],
     lead_den: int,
-    kernel: Callable[[dict[int, int], Polynomial, Polynomial, int], None],
+    kernel: Callable[[dict[int, int], Mapping[int, int], Mapping[int, int], int], dict[int, int]],
     pairs: list[tuple[Polynomial, Polynomial]],
     unit: int,
     what: str,
@@ -257,5 +256,5 @@ def _lead_minus(
     s = den // lead_den
     acc = {m: c * s for m, c in lead.items()}
     for a, b in pairs:
-        kernel(acc, a, b, -(den // (a.den * b.den * unit)))
+        kernel(acc, a.num, b.num, -(den // (a.den * b.den * unit)))
     return ctx._normal_form(acc, den, what)

@@ -202,8 +202,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc: dict[int, int] = {}
-        add_product(acc, self, other)
+        acc = add_product({}, self.num, other.num)
         check_degree(acc, self.nvars, "product")
         return Polynomial.from_numerators(self.nvars, acc, self.den * other.den)
 
@@ -222,14 +221,6 @@ class Polynomial:
     def constant_term(self) -> Fraction:
         return Fraction(self.num.get(0, 0), self.den)
 
-    def graded_component(self, n: int) -> "Polynomial":
-        """Sum of the terms of total degree exactly ``n``."""
-        if n < 0:
-            raise ValueError("degree must be non-negative")
-        shift = FIELD_BITS * self.nvars
-        part = {m: a for m, a in self.num.items() if m >> shift == n}
-        return Polynomial.from_numerators(self.nvars, part, self.den)
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in descending monomial order (canonical enumeration)."""
         return [(unpack(m, self.nvars), Fraction(self.num[m], self.den)) for m in sorted(self.num, reverse=True)]
@@ -245,15 +236,16 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self, names)!r})"
 
 
-def add_product(acc: dict[int, int], f: Polynomial, g: Polynomial, s: int = 1) -> None:
-    """Add ``s`` times the numerators of f * g, which lie over ``f.den * g.den``,
-    into ``acc``: the package's one product loop."""
-    get, g_terms = acc.get, g.num.items()
-    for ma, ca in f.num.items():
+def add_product(acc: dict[int, int], f: Mapping[int, int], g: Mapping[int, int], s: int = 1) -> dict[int, int]:
+    """Add ``s`` times the product of the numerators ``f`` and ``g``, keyed by
+    monomial, into ``acc`` and return it: the package's one product loop."""
+    get, g_terms = acc.get, g.items()
+    for ma, ca in f.items():
         ca *= s
         for mb, cb in g_terms:
             m = ma + mb
             acc[m] = get(m, 0) + ca * cb
+    return acc
 
 
 def check_degree(acc: Mapping[int, int], nvars: int, what: str) -> None:
@@ -329,13 +321,19 @@ class Reducer:
         return self.reduce_numerators(f.num, f.den)
 
     def reduce_numerators(self, num: Mapping[int, int], den: int) -> Polynomial:
-        """The remainder of the polynomial with coefficients ``num[m] / den``,
-        as ``Polynomial.from_numerators`` takes them (zero numerators allowed,
-        any common factor, ``den`` nonzero); the result is made canonical once."""
+        """The canonical remainder of the numerators ``num`` over ``den``, as
+        ``Polynomial.from_numerators`` takes them."""
+        acc, scale = self.remainder(num)
+        return Polynomial.from_numerators(self.nvars, acc, den * scale)
+
+    def remainder(self, num: Mapping[int, int]) -> tuple[Mapping[int, int], int]:
+        """The remainder of the numerators ``num``, keyed by monomial with zeros
+        allowed, as ``(acc, scale)``: it is ``acc / scale``, for a positive
+        scale, and ``(num, 1)`` if no monomial of ``num`` is reducible."""
         lm, guards, memo = self._lm, self._guards, self._memo
         reducible = [m for m, a in num.items() if a and not (m - lm) & guards]
         if not reducible:
-            return Polynomial.from_numerators(self.nvars, num, den)
+            return num, 1
         forms = [memo[m] if m in memo else self._monomial_nf(m) for m in reducible]
         # a memo denominator is negative when the leading coefficient is; lcm is not
         scale = lcm(*(d for _, d in forms))
@@ -346,7 +344,7 @@ class Reducer:
             s = num[m] * (scale // d)
             for w, b in nf.items():  # normal monomials, so none is a reducible key still in acc
                 acc[w] = get(w, 0) + s * b
-        return Polynomial.from_numerators(self.nvars, acc, den * scale)
+        return acc, scale
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:

@@ -4,19 +4,20 @@ Every operation here verifies a finite-dimensional projection of an
 algebraic statement, and verdicts are always relative to the stated degree
 or source bound.  Each bounded subspace is a ``Span``: a fixed tuple of
 canonical monomials and one exact ``RowBasis`` over their coefficients.
-``Span.vector`` is the only map from a ``Polynomial`` to coordinates (both
-key monomials by packed int, as ``PoissonContext.basis_monomials`` does);
-``insert`` and ``contains`` take polynomials, and ``basis`` reads the
-canonical reduced echelon basis back as polynomials.  A claim's subspace is
-returned as the ``Span`` that built it (``derived_span``,
-``invariants_basis``, ``poisson_ideal_closure``), and callers read its
-verdicts (membership of 1, rank, gradedness) from the span directly.
-Coordinates stay sparse: a polynomial enters its span's ``RowBasis`` as
-(column, integer numerator) pairs, and kernels and intersections are read
-off one elimination each.  Every bracket span is built from the brackets
-{x_i, m} with a linear first factor, since {f, g} = sum_i
-{x_i, g * df/dx_i}; on an orbit this holds modulo the relation's ideal,
-which is Poisson.  Reports serialize deterministically.
+``Span.row`` is the one map from integer numerators keyed by packed
+monomial, as the kernels give them, to a sparse row for ``RowBasis._add``,
+reduced on an orbit.  So no ``Polynomial`` is built between a kernel and
+the engine: a source {x_i, m} comes from ``PoissonContext.ad_numerators``,
+x_i * row is a shift of the row's keys, and {x_i, row} is one
+``PoissonContext._add_bracket``.  ``insert`` and ``contains`` take a
+polynomial's numerators through the same map, and ``basis`` reads the
+reduced echelon basis back as polynomials.  A claim's subspace is returned
+as the ``Span`` that built it (``derived_span``, ``invariants_basis``,
+``poisson_ideal_closure``), and callers read its verdicts from the span.
+Every bracket span is built from the brackets {x_i, m} with a linear first
+factor, since {f, g} = sum_i {x_i, g * df/dx_i}; on an orbit this holds
+modulo the relation's ideal, which is Poisson.  Reports serialize
+deterministically.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ from bisect import insort
 from enum import Enum
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .liealg import LieAlgebra, killing_rows, nondegenerate
 # nullspace, reduce_vector, row_space_intersection and solve_linear are not
 # called here: they are bound only because perfbench/spans.py wraps them here.
-from .linalg import Pairs, RowBasis, nullspace, reduce_vector, row_space_intersection, solve_linear
+from .linalg import Row, RowBasis, nullspace, reduce_vector, row_space_intersection, solve_linear
 from .orbit import OrbitDescriptor, OrbitType, builtin_casimir
 from .poisson import PoissonContext
-from .poly import EXPONENT_CAP, Polynomial
+from .poly import EXPONENT_CAP, Polynomial, Reducer
 
 
 class Membership(Enum):
@@ -48,39 +49,42 @@ class Span:
     ``monomials``, keys of monomials in ``nvars`` variables, fix the
     coordinate order; ``rows`` is the exact row space of the coefficient
     vectors inserted so far, fully reduced if ``full`` (see ``RowBasis``).
+    On an orbit ``ideal`` is the context's, and the monomials are normal.
     """
 
-    def __init__(self, monomials: Iterable[int], nvars: int, full: bool = False):
+    def __init__(self, monomials: Iterable[int], nvars: int, full: bool = False, ideal: Reducer | None = None):
         self.monomials = tuple(monomials)
         self.nvars = nvars
         self._index = {m: i for i, m in enumerate(self.monomials)}
+        self._ideal = ideal
         self.rows = RowBasis(len(self.monomials), full)
 
     @property
     def rank(self) -> int:
         return self.rows.rank
 
-    def vector(self, p: Polynomial) -> Pairs | None:
-        """(column, numerator) pairs of ``p``, that is, its coefficient vector
-        times ``p.den``; None if its support leaves the monomials."""
+    def row(self, num: Mapping[int, int]) -> Row | None:
+        """The row of the numerators ``num``, keyed by monomial with zeros
+        allowed: their normal form modulo the ideal times a positive
+        integer, by column; None if its support leaves the monomials."""
+        if self._ideal is not None:
+            num = self._ideal.remainder(num)[0]
         index = self._index
         try:
-            return [(index[m], a) for m, a in p.num.items()]
+            return {index[m]: a for m, a in num.items() if a}
         except KeyError:
             return None
 
     def insert(self, p: Polynomial) -> bool:
         """Add ``p``; return True if it enlarged the span."""
-        if not p:
-            return False
-        vec = self.vector(p)
-        if vec is None:
+        row = self.row(p.num)
+        if row is None:
             raise ValueError("polynomial has support outside the span's monomials")
-        return self.rows.insert(vec)
+        return self.rows._add(row) is not None
 
     def contains(self, p: Polynomial) -> bool:
-        vec = self.vector(p)
-        return vec is not None and self.rows.contains(vec)
+        row = self.row(p.num)
+        return row is not None and not self.rows._reduce(row)
 
     def basis(self) -> list[Polynomial]:
         """Canonical reduced echelon basis, one polynomial per pivot monomial."""
@@ -157,7 +161,7 @@ def _free_degree_split(ctx: PoissonContext, degree: int) -> tuple[Span, Span]:
     for j in reversed(range(size)):
         row = {dim * size + j: den}
         for i, num in enumerate(ctx.ad_numerators(center.monomials[j])):
-            vec = {index[t]: a for t, a in num.items() if a}
+            vec = {index[t]: a for t, a in num.items() if a}  # Span.row, inlined: nothing to reduce
             for c, a in vec.items():
                 row[c * dim + i] = a
             if vec and derived_rows.rank < size:
@@ -174,24 +178,23 @@ def invariants_basis(algebra: LieAlgebra, degree: int) -> Span:
     return _free_degree_split(PoissonContext.free(algebra), degree)[0]
 
 
-def _bracket_sources(ctx: PoissonContext, source_bound: int) -> Iterator[tuple[int, Polynomial]]:
-    """Nonzero reduced brackets {x_i, m}, each with its source bound deg m.
+def _bracket_sources(ctx: PoissonContext, span: Span, source_bound: int) -> Iterator[tuple[int, Row]]:
+    """Nonzero reduced brackets {x_i, m} as rows of ``span``, which holds the
+    normal monomials up to the bound, each with its source bound deg m.
 
-    x_i runs over the normal linear monomials, m over the normal monomials
-    with 1 <= deg m <= ``source_bound``, and a pair of linear monomials is
-    taken once.  They span every monomial bracket {f, g} of bound
-    deg f + deg g - 1 <= ``source_bound``, since {f, g} = sum_i
-    {x_i, g * df/dx_i} (the second-derivative terms cancel by antisymmetry).
-    On an orbit this holds modulo the relation's ideal, which is Poisson.
+    m runs over the normal monomials with 1 <= deg m <= ``source_bound``
+    and x_i over the generators, read from ``ctx.ad_numerators(m)``.  They
+    span every monomial bracket {f, g} of bound deg f + deg g - 1 <=
+    ``source_bound``, since {f, g} = sum_i {x_i, g * df/dx_i} (the
+    second-derivative terms cancel by antisymmetry).  On an orbit this
+    holds modulo the relation's ideal, which is Poisson.
     """
-    linear = [ctx.monomial(m) for m in ctx.basis_monomials(1)]
+    row = span.row
     for d in range(1, source_bound + 1):
-        for b, m in enumerate(ctx.basis_monomials(d)):
-            pm = ctx.monomial(m)
-            for x in linear if d > 1 else linear[:b]:
-                br = ctx.bracket(x, pm)
-                if br:
-                    yield d, br
+        for m in ctx.basis_monomials(d):
+            for num in ctx.ad_numerators(m):
+                if vec := row(num):
+                    yield d, vec
 
 
 def derived_span(ctx: PoissonContext, degree: int, source_bound: int) -> Span:
@@ -199,11 +202,18 @@ def derived_span(ctx: PoissonContext, degree: int, source_bound: int) -> Span:
     deg m <= ``source_bound``, which by {f, g} = sum_i {x_i, g * df/dx_i}
     (modulo the Poisson ideal on an orbit) is that of every monomial bracket
     at the bound.  In the free algebra, ``source_bound = degree + 1`` gives
-    the degree slice of {P, P}.
+    the degree slice of {P, P}.  The sources are rows over the monomials
+    up to the larger bound, highest degree first, so a component is one
+    block of columns.  They stop once the span is the whole slice.
     """
-    span = Span(ctx.basis_monomials(degree), ctx.nvars)
-    for _, br in _bracket_sources(ctx, source_bound):
-        span.insert(br.graded_component(degree))
+    top = Span(ctx.basis_monomials_up_to(max(degree, source_bound)), ctx.nvars, ideal=ctx.ideal)
+    span = Span(ctx.basis_monomials(degree), ctx.nvars, ideal=ctx.ideal)
+    size = len(span.monomials)
+    lo = len(top.monomials) - len(ctx.basis_monomials_up_to(degree))
+    for _, row in _bracket_sources(ctx, top, source_bound):
+        if span.rank == size:
+            break
+        span.rows._add({c - lo: a for c, a in row.items() if 0 <= c - lo < size})
     return span
 
 
@@ -213,29 +223,26 @@ def derived_membership(ctx: PoissonContext, f: Polynomial, source_bound: int) ->
     The negative verdict is explicitly bound-relative: it says nothing
     about larger bounds.
     """
-    if _entry_bound(ctx, f, _bracket_sources(ctx, source_bound), source_bound) is None:
+    if _entry_bound(ctx, f, source_bound) is None:
         return Membership.NOT_IN_SPAN_AT_BOUND
     return Membership.IN_SPAN
 
 
-def _entry_bound(
-    ctx: PoissonContext, target: Polynomial, sources: Iterable[tuple[int, Polynomial]], source_bound: int
-) -> int | None:
+def _entry_bound(ctx: PoissonContext, target: Polynomial, source_bound: int) -> int | None:
     """Least source bound whose brackets put the normal form of ``target`` in
-    their span: 0 if it is zero, None if it never enters.  The ``(bound,
-    bracket)`` sources must come in nondecreasing bound up to
-    ``source_bound``, as ``_bracket_sources`` yields them; they are consumed
-    one bound at a time and ``target`` is tested after each, so no bracket
-    past the entry bound is evaluated.  The span is fully reduced: it ends
-    near full rank, and most later brackets already lie in it.
+    their span: 0 if it is zero, None if it does not enter by
+    ``source_bound``.  The sources come in nondecreasing bound and are
+    consumed one bound at a time, ``target`` tested after each, so no
+    bracket past the entry bound is evaluated.  The span is fully reduced:
+    it ends near full rank, and most later brackets already lie in it.
     """
     target = ctx.reduce(target)
-    span = Span(ctx.basis_monomials_up_to(max(source_bound, target.degree())), ctx.nvars, full=True)
+    span = Span(ctx.basis_monomials_up_to(max(source_bound, target.degree())), ctx.nvars, True, ctx.ideal)
     if span.contains(target):
         return 0
-    for bound, group in groupby(sources, key=itemgetter(0)):
-        for _, br in group:
-            span.insert(br)
+    for bound, group in groupby(_bracket_sources(ctx, span, source_bound), key=itemgetter(0)):
+        for _, row in group:
+            span.rows._add(row)
         if span.contains(target):
             return bound
     return None
@@ -380,9 +387,7 @@ def verify_thm2(orbit: OrbitDescriptor, max_bound: int) -> VerificationReport:
         max_bound=max_bound,
         monomial_degree_cap=monomial_degree_cap,
     )
-    # The sources of each lower bound are those tagged with at most that bound.
-    sources = list(_bracket_sources(ctx, max_bound))
-    entry = _entry_bound(ctx, Polynomial.constant(ctx.nvars, 1), sources, max_bound)
+    entry = _entry_bound(ctx, Polynomial.constant(ctx.nvars, 1), max_bound)
     for bound in range(max_bound + 1):
         member = entry is not None and entry <= bound
         verdict = Membership.IN_SPAN if member else Membership.NOT_IN_SPAN_AT_BOUND
@@ -395,9 +400,7 @@ def verify_thm2(orbit: OrbitDescriptor, max_bound: int) -> VerificationReport:
             }
         )
     for d in range(1, monomial_degree_cap + 1):
-        span = Span(ctx.basis_monomials(d), ctx.nvars)
-        for _, br in sources:
-            span.insert(br.graded_component(d))
+        span = derived_span(ctx, d, max_bound)
         for m in span.monomials:
             p = ctx.monomial(m)
             ok = span.contains(p)
@@ -462,36 +465,37 @@ def poisson_ideal_closure(ctx: PoissonContext, generators: Sequence[Polynomial],
     ``is_graded()``.
 
     By the product rule these moves exhaust Poisson-ideal closure at the
-    bound.  They are applied to the span's stored rows, each read as a
-    polynomial.  The stored rows are a basis of the span; their pivots are
-    their leading columns, and the monomials come highest degree first, so
-    the rows pivoted below the bound span the part of the span below it,
-    combinations of elements at the bound that fall below it included.  So
-    once every stored row has had its moves, the span is the closure,
-    whatever order they ran in.  Pending rows are taken sparsest first, and
-    the moves stop once the span is everything.
+    bound.  They are applied to the span's stored rows, read as numerators
+    keyed by monomial: x_i * row shifts each key by that of x_i, and
+    {x_i, row} is one ``_add_bracket``.  The stored rows are a basis of the
+    span; their pivots are their leading columns, and the monomials come
+    highest degree first, so the rows pivoted below the bound span the part
+    of the span below it, combinations of elements at the bound that fall
+    below it included.  So once every stored row has had its moves, the span
+    is the closure, whatever order they ran in.  Pending rows are taken
+    sparsest first, and the moves stop once the span is everything.
     """
-    span = Span(ctx.basis_monomials_up_to(degree_bound), ctx.nvars)
-    rows, index, monomials, size = span.rows, span._index, span.monomials, len(span.monomials)
+    span = Span(ctx.basis_monomials_up_to(degree_bound), ctx.nvars, ideal=ctx.ideal)
+    rows, monomials, size = span.rows, span.monomials, len(span.monomials)
     below = len(ctx.basis_monomials(degree_bound))  # the first column below the bound
-    pending: list[tuple[int, int, dict[int, int]]] = []  # (-nonzeros, -pivot, row): pop() takes the sparsest
+    pending: list[tuple[int, int, Row]] = []  # (-nonzeros, -pivot, row): pop() takes the sparsest
 
-    def admit(p: Polynomial) -> None:
-        row = rows._add({index[m]: a for m, a in p.num.items()})
+    def admit(num: Mapping[int, int]) -> None:
+        row = rows._add(span.row(num))
         if row is not None:
             insort(pending, (-len(row), -min(row), row))
 
     for g in _reduced_generators(ctx, generators, degree_bound):
-        admit(g)
-    variables = [ctx.variable(i) for i in range(ctx.nvars)]
+        admit(g.num)
+    keys = [max(ctx.variable(i).num) for i in range(ctx.nvars)]  # the key of each x_i
     while pending and rows.rank < size:
         row = pending.pop()[2]
         multiply = min(row) >= below
-        e = Polynomial.from_numerators(ctx.nvars, {monomials[j]: a for j, a in row.items()}, 1)
-        for gen in variables:
+        num = {monomials[j]: a for j, a in row.items()}
+        for x in keys:
             if multiply:
-                admit(ctx.product(gen, e))
-            admit(ctx.bracket(gen, e))
+                admit({m + x: a for m, a in num.items()})
+            admit(ctx._add_bracket({}, {x: 1}, num))
     return span
 
 
@@ -577,19 +581,20 @@ def verify_homogeneous_ideals(orbit: OrbitDescriptor, k: int, degree_bound: int)
     # {p_a, p_b} = sum_i dp_a/dx_i {x_i, p_b} over the normal linear x_i (a
     # normal p_a has no other), and the normal form of a homogeneous
     # polynomial is homogeneous of its degree.  So a record (a, b) holds once
-    # the sources {x_i, m} with deg m = b, the pairs of record (1, b), are
-    # homogeneous of degree b, and only for a failing b are its pairs searched.
-    failing: set[int] = set()
+    # the sources {x_i, m} with deg m = b are homogeneous of degree b, and
+    # only for a failing b are the pairs of a record searched for a witness.
+    top = Span(ctx.basis_monomials_up_to(degree_bound), ctx.nvars, ideal=ctx.ideal)
+    degree = [d for d in range(degree_bound, -1, -1) for _ in ctx.basis_monomials(d)]  # of each column of top
+    failing = {b for b, row in _bracket_sources(ctx, top, degree_bound) if any(degree[c] != b for c in row)}
     for a in range(1, degree_bound + 1):
         for b in range(a, degree_bound + 2 - a):
             brackets = ((pa, pb, ctx.bracket(pa, pb)) for pa in monomials[a] for pb in monomials[b])
-            bad = None if a > 1 and b not in failing else next(
+            bad = None if b not in failing else next(
                 (t for t in brackets if t[2] and (not t[2].is_homogeneous() or t[2].degree() != a + b - 1)),
                 None,
             )
             record = {"check": "bracket_grading", "degrees": [a, b], "verdict": "pass" if bad is None else "fail"}
             if bad is not None:
-                failing.add(b)
                 fa, fb, fbr = map(ctx.format, bad)
                 record["witness"] = f"{{{fa}, {fb}}} = {fbr}"
             report.records.append(record)
@@ -644,8 +649,7 @@ def nonexactness_check(
     # The degree-d system's columns are {x_i, m} with deg m <= d; constants
     # bracket to zero and {x_i, x_j} = -{x_j, x_i}, so the sources of bound
     # d span them, and the system is feasible iff 1 enters by bound d.
-    one = Polynomial.constant(ctx.nvars, 1)
-    entry = _entry_bound(ctx, one, _bracket_sources(ctx, degree_bound), degree_bound)
+    entry = _entry_bound(ctx, Polynomial.constant(ctx.nvars, 1), degree_bound)
     for d in range(degree_bound + 1):
         feasible = entry is not None and entry <= d
         report.records.append(
@@ -674,30 +678,30 @@ def nonexactness_check(
 
 def _ideal_truncation(
     ctx: PoissonContext, generators: Sequence[Polynomial], degree_bound: int
-) -> tuple[Span, list[tuple[int, Polynomial, Polynomial]]]:
+) -> tuple[Span, list[tuple[int, Polynomial, dict[int, int]]]]:
     """Span of reduced generator multiples with product degree at the bound,
-    with the accepted elements as (monomial key, generator, reduced product)."""
-    span = Span(ctx.basis_monomials_up_to(degree_bound), ctx.nvars)
-    elements: list[tuple[int, Polynomial, Polynomial]] = []
+    with the accepted elements as (monomial key, generator, reduced
+    product's numerators).  x^m * g is g's numerators with keys shifted by m."""
+    span = Span(ctx.basis_monomials_up_to(degree_bound), ctx.nvars, ideal=ctx.ideal)
+    elements: list[tuple[int, Polynomial, dict[int, int]]] = []
     for g in generators:
         for d in range(degree_bound - g.degree() + 1):
             for m in ctx.basis_monomials(d):
-                p = ctx.product(ctx.monomial(m), g)
-                if span.insert(p):
-                    elements.append((m, g, p))
+                row = span.row({m + t: a for t, a in g.num.items()})
+                if span.rows._add(dict(row)) is not None:
+                    elements.append((m, g, {span.monomials[j]: a for j, a in row.items()}))
     return span, elements
 
 
 def _bracket_closed(
-    ctx: PoissonContext, span: Span, elements: Sequence[tuple[int, Polynomial, Polynomial]]
+    ctx: PoissonContext, span: Span, elements: Sequence[tuple[int, Polynomial, dict[int, int]]]
 ) -> tuple[bool, str | None]:
     """Whether brackets of the span with every generator stay in the span;
     if not, the first failing bracket as text."""
     for i in range(ctx.nvars):
-        gen = ctx.variable(i)
+        x = max(ctx.variable(i).num)  # the key of x_i
         for m, g, e in elements:
-            br = ctx.bracket(gen, e)
-            if br and not span.contains(br):
+            if span.rows._reduce(span.row(ctx._add_bracket({}, {x: 1}, e))):
                 mono = ctx.format(ctx.monomial(m))
                 return False, f"{{{ctx.algebra.names[i]}, {mono}*({ctx.format(g)})}}"
     return True, None
@@ -731,12 +735,7 @@ def ideal_square_check(
     if ctx.is_quotient:
         report.params["relation"] = ctx.format(ctx.ideal.relation)
     i_span, i_elements = _ideal_truncation(ctx, gens, degree_bound)
-    square_gens = []
-    for a in range(len(gens)):
-        for b in range(a, len(gens)):
-            p = ctx.product(gens[a], gens[b])
-            if p:
-                square_gens.append(p)
+    square_gens = [p for a, g in enumerate(gens) for h in gens[a:] if (p := ctx.product(g, h))]
     sq_span, sq_elements = _ideal_truncation(ctx, square_gens, degree_bound)
     report.records.append(
         {

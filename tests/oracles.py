@@ -172,6 +172,11 @@ def terms_scale(a: Terms, c: Fraction) -> Terms:
     return {m: c * x for m, x in a.items()} if c else {}
 
 
+def graded_component(p: Polynomial, n: int) -> Polynomial:
+    """The terms of ``p`` of total degree ``n``, on ``Fraction`` coefficient dicts."""
+    return Polynomial(p.nvars, {m: c for m, c in p.terms.items() if sum(m) == n})
+
+
 def terms_mul(a: Terms, b: Terms) -> Terms:
     """Product of two coefficient dicts, term pair by term pair."""
     out: Terms = {}

@@ -181,7 +181,7 @@ def test_borel_subalgebra_of_sl3_fails_prop1(tmp_path, capsys):
 
 def test_prop1_on_heisenberg_of_dimension_33_validates_quickly(capsys):
     # A Jacobi check over dense indices costs O(d^5), about 105 s at d = 33 on
-    # CPython 3.11; CI runs this file under a 60-s timeout, so that fails here.
+    # CPython 3.11; CI runs this file under a 20-s timeout, so that fails here.
     assert main(["verify", "prop1", "--algebra", "heisenberg", "--n", "16", "--max-degree", "0"]) == EXIT_PASS
     out = capsys.readouterr().out
     assert "algebra is not semisimple" in out and "overall: pass" in out

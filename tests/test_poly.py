@@ -56,23 +56,6 @@ def test_casimir_times_z_hand_expansion():
     assert p("x^2 + y^2 - z^2") * p("z") == p("x^2*z + y^2*z - z^3")
 
 
-def test_graded_component_examples():
-    f = p("x^2*y + z")
-    assert f.graded_component(3) == p("x^2*y")
-    assert f.graded_component(1) == p("z")
-    assert p("x^2 + y^2 - z^2").graded_component(1) == Polynomial.zero(3)
-
-
-def test_graded_components_partition():
-    rng = random.Random(7)
-    for _ in range(25):
-        f = random_polynomial(rng, 3, 5)
-        total = Polynomial.zero(3)
-        for n in range(6):
-            total = total + f.graded_component(n)
-        assert total == f
-
-
 def test_normal_form_single_division_step():
     divisor = p("x^2 + y^2 - z^2 - 1")
     assert Reducer(divisor).reduce(p("z^2")) == p("x^2 + y^2 - 1")
@@ -171,7 +154,6 @@ def test_arithmetic_matches_fraction_oracle_and_stays_canonical():
         ]
         if c:
             cases.append((f * (1 / c), terms_scale(a, 1 / c)))
-        cases += [(f.graded_component(n), {m: x for m, x in a.items() if sum(m) == n}) for n in range(4)]
         divisor = rng.choice(divisors)
         cases.append((Reducer(divisor).reduce(f), division_normal_form(f, divisor).terms))
         for result, expected in cases:

@@ -7,7 +7,10 @@ being compared with the package's elimination results.
 
 import random
 from collections import Counter
+from itertools import groupby
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 
 import pytest
 
@@ -41,6 +44,7 @@ from liepoisson.structure import (
 from oracles import (
     divides,
     division_normal_form,
+    graded_component,
     graded_lex_key,
     kernel_basis,
     leibniz_bracket,
@@ -212,33 +216,105 @@ def test_pair_span_equals_bracket_sources_per_bound(name):
         for a in mons for b in mons if sum(a) and sum(b) and sum(a) + sum(b) - 1 <= top
     ]
 
-    def row_span(polys):
+    def row_span(terms):
         rows = RowBasis(len(mons))
-        for p in polys:
-            rows.insert([(index[unpack(m, n)], a) for m, a in p.num.items()])
+        for t in terms:
+            scale = lcm(*(c.denominator for c in t.values()))
+            rows.insert([(index[m], int(c * scale)) for m, c in t.items()])
         return rows.reduced_rows()
 
-    # the sources are exactly the nonzero {x_i, m} over normal linear x_i and
-    # normal m, each pair of linear monomials once; compared up to sign
-    def key(bound, p):
-        terms = sorted(p.terms.items())
-        sign = 1 if terms[0][1] > 0 else -1
-        return bound, tuple((m, sign * c) for m, c in terms)
+    # the sources are exactly the nonzero {x_i, m} over every generator x_i
+    # and normal m, as rows over the normal monomials up to the top bound;
+    # a row is the normal form up to a nonzero factor, so the terms are
+    # compared over their first coefficient
+    def key(bound, terms):
+        items = sorted(terms.items())
+        return bound, tuple((m, c / items[0][1]) for m, c in items)
+
+    span = Span(ctx.basis_monomials_up_to(top), n, ideal=ctx.ideal)
+
+    def source_terms(row):
+        return {unpack(span.monomials[c], n): Fraction(a) for c, a in row.items()}
 
     normal = [m for m in mons if reduced(Polynomial.monomial(n, m)) == Polynomial.monomial(n, m)]
+    assert [unpack(m, n) for m in span.monomials] == sorted(normal, key=graded_lex_key, reverse=True)
     expected = Counter()
-    for m in normal:
-        for x in (x for x in normal if sum(x) == 1 and (sum(m) > 1 or x < m)):
-            br = reduced(leibniz_bracket(ctx.algebra, Polynomial.monomial(n, x), Polynomial.monomial(n, m)))
+    for m in (m for m in normal if sum(m)):
+        for i in range(n):
+            br = reduced(leibniz_bracket(ctx.algebra, ctx.algebra.variable(i), Polynomial.monomial(n, m)))
             if br:
-                expected[key(sum(m), br)] += 1
-    all_sources = list(_bracket_sources(ctx, top))
-    assert Counter(key(*s) for s in all_sources) == expected
+                expected[key(sum(m), br.terms)] += 1
+    all_sources = list(_bracket_sources(ctx, span, top))
+    assert Counter(key(b, source_terms(row)) for b, row in all_sources) == expected
     for bound in range(top + 1):
-        sources = list(_bracket_sources(ctx, bound))
+        sources = list(_bracket_sources(ctx, span, bound))
         assert sources == [s for s in all_sources if s[0] <= bound]
-        assert all(br for _, br in sources)
-        assert row_span(br for _, br in sources) == row_span(br for b, br in pairs if b <= bound)
+        assert all(row and all(type(a) is int and a for a in row.values()) for _, row in sources)
+        assert row_span(source_terms(row) for _, row in sources) == row_span(
+            br.terms for b, br in pairs if b <= bound
+        )
+
+
+def oracle_filtered_split(ctx, top):
+    """(|P_b|, rank B_b, whether 1 is in B_b) for b = 1..top, where P_b is
+    spanned by the normal monomials of degree at most b and B_b by the
+    normal forms of {x_i, m} for every generator x_i and normal monomial m
+    with 1 <= deg m <= b: recursive Leibniz brackets, one-divisor division
+    and plain rational elimination, grown one bound at a time."""
+    n, algebra = ctx.nvars, ctx.algebra
+
+    def nf(p):
+        return division_normal_form(p, ctx.ideal.relation)
+
+    mons = [m for d in range(top + 1) for m in monomials_of_degree(n, d)
+            if nf(Polynomial.monomial(n, m)) == Polynomial.monomial(n, m)]
+    index = {m: c for c, m in enumerate(mons)}
+    one = [Fraction(int(not any(m))) for m in mons]
+    rows, out = [], []
+    for b in range(1, top + 1):
+        for m in (m for m in mons if sum(m) == b):
+            for i in range(n):
+                row = [Fraction(0)] * len(mons)
+                for mm, c in nf(leibniz_bracket(algebra, algebra.variable(i), Polynomial.monomial(n, m))).terms.items():
+                    row[index[mm]] = c
+                rows.append(row)
+        reduced, pivots = rref(rows)
+        rows = reduced[: len(pivots)]
+        out.append((sum(1 for m in mons if sum(m) <= b), len(pivots), rref_rank(rows + [one]) == len(pivots)))
+    return out
+
+
+def filtered_split(ctx, top):
+    """(|P_b|, rank B_b, whether 1 is in B_b) for b = 1..top, with B_b grown
+    in bound order from the rows of _bracket_sources."""
+    span = Span(ctx.basis_monomials_up_to(top), ctx.nvars, True, ctx.ideal)
+    out = []
+    for b, group in groupby(_bracket_sources(ctx, span, top), key=itemgetter(0)):
+        for _, row in group:
+            span.rows._add(row)
+        out.append((len(ctx.basis_monomials_up_to(b)), span.rank, span.contains(Polynomial.constant(ctx.nvars, 1))))
+    return out
+
+
+@pytest.mark.parametrize(
+    "algebra,level", [(SL2R, 1), (SL2R, -1), (SL2R, 0), (SL2R, 2), (SO3, 1)],
+    ids=["sl2r-1", "sl2r-minus-1", "sl2r-0", "sl2r-2", "so3-1"],
+)
+def test_filtered_split_of_the_orbit(algebra, level):
+    # The finite form of P(O) = center + {P, P} on a semisimple orbit:
+    # P_b = Q*1 + B_b, that is rank B_b = |P_b| - 1 with 1 outside B_b, at
+    # every bound b, with B_b grown in bound order (not B_top meet P_b: the
+    # relation lowers degrees)
+    ctx = casimir_orbit(algebra, level).context
+    split = filtered_split(ctx, 8)
+    assert split == oracle_filtered_split(ctx, 8)
+    assert [(rank, member) for _, rank, member in split] == [(size - 1, False) for size, _, _ in split]
+
+
+def test_filtered_split_fails_on_the_heisenberg_orbit():
+    # the paper's counterexample from the same check: 1 = {q, p} on z = 1
+    ctx = casimir_orbit(builtin("heisenberg", 1), 1).context
+    assert filtered_split(ctx, 1)[0][2] is oracle_filtered_split(ctx, 1)[0][2] is True
 
 
 FREE_SPLIT_ALGEBRAS = {
@@ -478,7 +554,7 @@ def _oracle_is_graded(span):
     """dim V == sum over d of dim pi_d(V), on dense rows of a spanning set."""
     spanning = span.basis()
     degrees = {sum(unpack(m, 3)) for m in span.monomials}
-    components = sum(rref_rank(_dense_rows([p.graded_component(d) for p in spanning], span.monomials))
+    components = sum(rref_rank(_dense_rows([graded_component(p, d) for p in spanning], span.monomials))
                      for d in degrees)
     return rref_rank(_dense_rows(spanning, span.monomials)) == components
 
@@ -623,7 +699,7 @@ def test_span_edge_cases(check):
 
 
 def test_span_membership_is_the_same_for_a_rational_multiple():
-    # Span.vector passes p's integer numerators, which for c*p are another
+    # Span.row takes p's integer numerators, which for c*p are another
     # multiple of the same coefficient vector (2*x + 4*y: 2, 4 over 1; times
     # 3/7: 6, 12 over 7)
     c = Fraction(3, 7)
@@ -735,8 +811,11 @@ def test_homogeneous_ideals_on_the_cone():
 def test_homogeneous_ideals_name_a_bracket_of_the_wrong_degree(monkeypatch):
     # The real bracket lowers degree by one, so this branch needs a wrong one:
     # every bracket is x, whose degree is right only for two linear operands.
+    # The records read the sources {x_i, m} from ad_numerators and search the
+    # pairs of a failing record with bracket, so both are replaced.
     cone = casimir_orbit(SL2R, 0)
     monkeypatch.setattr(PoissonContext, "bracket", lambda self, f, g: self.variable(0))
+    monkeypatch.setattr(PoissonContext, "ad_numerators", lambda self, m: [dict(self.variable(0).num)] * self.nvars)
     report = verify_homogeneous_ideals(cone, 1, 2)
     grading = [r for r in report.records if r["check"] == "bracket_grading"]
     assert grading[0] == {"check": "bracket_grading", "degrees": [1, 1], "verdict": "pass"}
@@ -892,8 +971,8 @@ def test_ideal_square_positive_degree_ideal_on_cone():
 def test_ideal_square_names_a_bracket_that_leaves_the_square(monkeypatch):
     # No small real ideal was found that is bracket-closed at the bound while
     # its square is not, so every bracket is made x: it stays in (x) and
-    # leaves (x^2).
-    monkeypatch.setattr(PoissonContext, "bracket", lambda self, f, g: self.variable(0))
+    # leaves (x^2).  The lemma brackets its stored rows through _add_bracket.
+    monkeypatch.setattr(PoissonContext, "_add_bracket", lambda self, acc, f, g, s=1: dict(self.variable(0).num))
     report = ideal_square_check(FREE_SL2R, [sl2("x")], 2)
     closure = [r for r in report.records if r["check"] == "bracket_closure"][0]
     assert closure == {"check": "bracket_closure", "ideal_closed": True, "square_closed": False,
