@@ -27,8 +27,10 @@ That loop nest, ``_add_bracket``, adds s times these numerators into a
 dict the caller passes, as ``poly.add_product`` does for a product; both
 take numerators keyed by monomial.  Every claim brackets through these
 kernels and no ``Polynomial``: each bracket span reads its sources from
-``ad_numerators``, and the closures and the lemma bracket a stored row
-with x_i through ``_add_bracket`` (see ``structure``).  ``bracket`` and
+``ad_numerators``, the closures and the lemma bracket a stored row with
+x_i through ``_add_bracket`` (see ``structure``), and on an orbit
+``normal_numerators`` reduces the result, up to a positive factor, without
+making it canonical.  ``bracket`` and
 ``product`` are one kernel call each plus one normal-form step, which
 checks the degree cap and, on an orbit, reduces once.  ``bracket`` serves
 the axiom defects, the relation check, the witness search of a failing
@@ -127,6 +129,11 @@ class PoissonContext:
             return p
         return self.ideal.reduce(p)
 
+    def normal_numerators(self, num: Mapping[int, int]) -> Mapping[int, int]:
+        """Numerators keyed by monomial, zeros allowed, in normal form times a
+        positive integer on an orbit; ``num`` itself in free mode."""
+        return num if self.ideal is None else self.ideal.remainder(num)[0]
+
     def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
         """Lie-Poisson bracket, reduced to normal form in quotient mode."""
         if f.nvars != self.nvars or g.nvars != self.nvars:
@@ -173,8 +180,8 @@ class PoissonContext:
 
     def ad_numerators(self, m: int) -> list[dict[int, int]]:
         """Numerators over ``den`` of {x_i, x^m} for each generator i, keyed by
-        monomial, with a zero where terms cancel.  They are not reduced: on an
-        orbit the span that takes them reduces them (``structure.Span.row``)."""
+        monomial, with a zero where terms cancel; not reduced on an orbit (see
+        ``normal_numerators``)."""
         out = []
         m1 = m + (1 << FIELD_BITS * self.nvars)  # x^m with the degree unit of a linear factor
         for i, row in enumerate(self._ad):

@@ -5,9 +5,9 @@ algebraic statement, and verdicts are always relative to the stated degree
 or source bound.  Each bounded subspace is a ``Span``: a fixed tuple of
 canonical monomials and one exact ``RowBasis`` over their coefficients.
 ``Span.row`` is the one map from integer numerators keyed by packed
-monomial, as the kernels give them, to a sparse row for ``RowBasis._add``,
-reduced on an orbit.  So no ``Polynomial`` is built between a kernel and
-the engine: a source {x_i, m} comes from ``PoissonContext.ad_numerators``,
+monomial, as the kernels give them and ``PoissonContext.normal_numerators``
+reduces them on an orbit, to a sparse row for ``RowBasis._add``.  So no
+``Polynomial`` is built between a kernel and the engine: a source {x_i, m} comes from ``PoissonContext.ad_numerators``,
 x_i * row is a shift of the row's keys, and {x_i, row} is one
 ``PoissonContext._add_bracket``.  ``insert`` and ``contains`` take a
 polynomial's numerators through the same map, and ``basis`` reads the
@@ -35,7 +35,7 @@ from .liealg import LieAlgebra, killing_rows, nondegenerate
 from .linalg import Row, RowBasis, nullspace, reduce_vector, row_space_intersection, solve_linear
 from .orbit import OrbitDescriptor, OrbitType, builtin_casimir
 from .poisson import PoissonContext
-from .poly import EXPONENT_CAP, Polynomial, Reducer
+from .poly import EXPONENT_CAP, Polynomial
 
 
 class Membership(Enum):
@@ -49,14 +49,12 @@ class Span:
     ``monomials``, keys of monomials in ``nvars`` variables, fix the
     coordinate order; ``rows`` is the exact row space of the coefficient
     vectors inserted so far, fully reduced if ``full`` (see ``RowBasis``).
-    On an orbit ``ideal`` is the context's, and the monomials are normal.
     """
 
-    def __init__(self, monomials: Iterable[int], nvars: int, full: bool = False, ideal: Reducer | None = None):
+    def __init__(self, monomials: Iterable[int], nvars: int, full: bool = False):
         self.monomials = tuple(monomials)
         self.nvars = nvars
         self._index = {m: i for i, m in enumerate(self.monomials)}
-        self._ideal = ideal
         self.rows = RowBasis(len(self.monomials), full)
 
     @property
@@ -65,10 +63,7 @@ class Span:
 
     def row(self, num: Mapping[int, int]) -> Row | None:
         """The row of the numerators ``num``, keyed by monomial with zeros
-        allowed: their normal form modulo the ideal times a positive
-        integer, by column; None if its support leaves the monomials."""
-        if self._ideal is not None:
-            num = self._ideal.remainder(num)[0]
+        allowed, by column; None if their support leaves the monomials."""
         index = self._index
         try:
             return {index[m]: a for m, a in num.items() if a}
@@ -161,7 +156,7 @@ def _free_degree_split(ctx: PoissonContext, degree: int) -> tuple[Span, Span]:
     for j in reversed(range(size)):
         row = {dim * size + j: den}
         for i, num in enumerate(ctx.ad_numerators(center.monomials[j])):
-            vec = {index[t]: a for t, a in num.items() if a}  # Span.row, inlined: nothing to reduce
+            vec = {index[t]: a for t, a in num.items() if a}  # Span.row, inlined in prop1's inner loop
             for c, a in vec.items():
                 row[c * dim + i] = a
             if vec and derived_rows.rank < size:
@@ -189,11 +184,11 @@ def _bracket_sources(ctx: PoissonContext, span: Span, source_bound: int) -> Iter
     second-derivative terms cancel by antisymmetry).  On an orbit this
     holds modulo the relation's ideal, which is Poisson.
     """
-    row = span.row
+    row, normal = span.row, ctx.normal_numerators
     for d in range(1, source_bound + 1):
         for m in ctx.basis_monomials(d):
             for num in ctx.ad_numerators(m):
-                if vec := row(num):
+                if vec := row(normal(num)):
                     yield d, vec
 
 
@@ -206,8 +201,8 @@ def derived_span(ctx: PoissonContext, degree: int, source_bound: int) -> Span:
     up to the larger bound, highest degree first, so a component is one
     block of columns.  They stop once the span is the whole slice.
     """
-    top = Span(ctx.basis_monomials_up_to(max(degree, source_bound)), ctx.nvars, ideal=ctx.ideal)
-    span = Span(ctx.basis_monomials(degree), ctx.nvars, ideal=ctx.ideal)
+    top = Span(ctx.basis_monomials_up_to(max(degree, source_bound)), ctx.nvars)
+    span = Span(ctx.basis_monomials(degree), ctx.nvars)
     size = len(span.monomials)
     lo = len(top.monomials) - len(ctx.basis_monomials_up_to(degree))
     for _, row in _bracket_sources(ctx, top, source_bound):
@@ -237,7 +232,7 @@ def _entry_bound(ctx: PoissonContext, target: Polynomial, source_bound: int) -> 
     it ends near full rank, and most later brackets already lie in it.
     """
     target = ctx.reduce(target)
-    span = Span(ctx.basis_monomials_up_to(max(source_bound, target.degree())), ctx.nvars, True, ctx.ideal)
+    span = Span(ctx.basis_monomials_up_to(max(source_bound, target.degree())), ctx.nvars, full=True)
     if span.contains(target):
         return 0
     for bound, group in groupby(_bracket_sources(ctx, span, source_bound), key=itemgetter(0)):
@@ -475,13 +470,13 @@ def poisson_ideal_closure(ctx: PoissonContext, generators: Sequence[Polynomial],
     is the closure, whatever order they ran in.  Pending rows are taken
     sparsest first, and the moves stop once the span is everything.
     """
-    span = Span(ctx.basis_monomials_up_to(degree_bound), ctx.nvars, ideal=ctx.ideal)
+    span = Span(ctx.basis_monomials_up_to(degree_bound), ctx.nvars)
     rows, monomials, size = span.rows, span.monomials, len(span.monomials)
     below = len(ctx.basis_monomials(degree_bound))  # the first column below the bound
     pending: list[tuple[int, int, Row]] = []  # (-nonzeros, -pivot, row): pop() takes the sparsest
 
     def admit(num: Mapping[int, int]) -> None:
-        row = rows._add(span.row(num))
+        row = rows._add(span.row(ctx.normal_numerators(num)))
         if row is not None:
             insort(pending, (-len(row), -min(row), row))
 
@@ -583,7 +578,7 @@ def verify_homogeneous_ideals(orbit: OrbitDescriptor, k: int, degree_bound: int)
     # polynomial is homogeneous of its degree.  So a record (a, b) holds once
     # the sources {x_i, m} with deg m = b are homogeneous of degree b, and
     # only for a failing b are the pairs of a record searched for a witness.
-    top = Span(ctx.basis_monomials_up_to(degree_bound), ctx.nvars, ideal=ctx.ideal)
+    top = Span(ctx.basis_monomials_up_to(degree_bound), ctx.nvars)
     degree = [d for d in range(degree_bound, -1, -1) for _ in ctx.basis_monomials(d)]  # of each column of top
     failing = {b for b, row in _bracket_sources(ctx, top, degree_bound) if any(degree[c] != b for c in row)}
     for a in range(1, degree_bound + 1):
@@ -682,12 +677,12 @@ def _ideal_truncation(
     """Span of reduced generator multiples with product degree at the bound,
     with the accepted elements as (monomial key, generator, reduced
     product's numerators).  x^m * g is g's numerators with keys shifted by m."""
-    span = Span(ctx.basis_monomials_up_to(degree_bound), ctx.nvars, ideal=ctx.ideal)
+    span = Span(ctx.basis_monomials_up_to(degree_bound), ctx.nvars)
     elements: list[tuple[int, Polynomial, dict[int, int]]] = []
     for g in generators:
         for d in range(degree_bound - g.degree() + 1):
             for m in ctx.basis_monomials(d):
-                row = span.row({m + t: a for t, a in g.num.items()})
+                row = span.row(ctx.normal_numerators({m + t: a for t, a in g.num.items()}))
                 if span.rows._add(dict(row)) is not None:
                     elements.append((m, g, {span.monomials[j]: a for j, a in row.items()}))
     return span, elements
@@ -701,7 +696,7 @@ def _bracket_closed(
     for i in range(ctx.nvars):
         x = max(ctx.variable(i).num)  # the key of x_i
         for m, g, e in elements:
-            if span.rows._reduce(span.row(ctx._add_bracket({}, {x: 1}, e))):
+            if span.rows._reduce(span.row(ctx.normal_numerators(ctx._add_bracket({}, {x: 1}, e)))):
                 mono = ctx.format(ctx.monomial(m))
                 return False, f"{{{ctx.algebra.names[i]}, {mono}*({ctx.format(g)})}}"
     return True, None

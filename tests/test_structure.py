@@ -231,7 +231,7 @@ def test_pair_span_equals_bracket_sources_per_bound(name):
         items = sorted(terms.items())
         return bound, tuple((m, c / items[0][1]) for m, c in items)
 
-    span = Span(ctx.basis_monomials_up_to(top), n, ideal=ctx.ideal)
+    span = Span(ctx.basis_monomials_up_to(top), n)
 
     def source_terms(row):
         return {unpack(span.monomials[c], n): Fraction(a) for c, a in row.items()}
@@ -287,7 +287,7 @@ def oracle_filtered_split(ctx, top):
 def filtered_split(ctx, top):
     """(|P_b|, rank B_b, whether 1 is in B_b) for b = 1..top, with B_b grown
     in bound order from the rows of _bracket_sources."""
-    span = Span(ctx.basis_monomials_up_to(top), ctx.nvars, True, ctx.ideal)
+    span = Span(ctx.basis_monomials_up_to(top), ctx.nvars, full=True)
     out = []
     for b, group in groupby(_bracket_sources(ctx, span, top), key=itemgetter(0)):
         for _, row in group:
