@@ -62,8 +62,8 @@ class Span:
         return self.rows.rank
 
     def row(self, num: Mapping[int, int]) -> Row | None:
-        """The row of the numerators ``num``, keyed by monomial with zeros
-        allowed, by column; None if their support leaves the monomials."""
+        """The numerators ``num``, keyed by monomial with zeros allowed, as a
+        row keyed by column; None if their support leaves the monomials."""
         index = self._index
         try:
             return {index[m]: a for m, a in num.items() if a}
