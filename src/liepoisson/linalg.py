@@ -137,6 +137,12 @@ class RowBasis:
             done[p] = _content_reduce(row)
         return dict(sorted(done.items()))
 
+    def fill(self) -> None:
+        """Make the row space the whole space, stored as its unit rows."""
+        self._rows = {j: {j: 1} for j in range(self.width)}
+        if self._cols is not None:
+            self._cols = {j: {j} for j in range(self.width)}
+
     def _row(self, pairs: Pairs) -> Row:
         """The row of ``pairs`` as a dict, checking each entry once."""
         row: Row = {}

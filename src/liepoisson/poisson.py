@@ -47,8 +47,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 from .liealg import LieAlgebra, require_lie
 from .poly import (
-    FIELD_BITS, FIELD_MASK, Polynomial, add_product, check_degree, format_polynomial, monomials_of_degree, pack,
-    parse_polynomial,
+    EXPONENT_CAP, FIELD_BITS, FIELD_MASK, Polynomial, add_product, check_degree, format_polynomial, parse_polynomial,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -202,10 +201,25 @@ class PoissonContext:
         In quotient mode only normal-form monomials (those not divisible by
         the relation's leading monomial) are returned, so they enumerate a
         basis of the quotient's degree-``degree`` coefficient space.
+
+        The keys are built as ints, in the order of ``monomials_of_degree``:
+        all of the degree starts in x_0's field, and for each variable from
+        the last down to x_1, a key with r units in x_0's field is followed
+        by those that move r, r - 1, ..., 0 of them to that variable's field.
         """
         if degree not in self._monomial_cache:
-            mons = (pack(m) for m in monomials_of_degree(self.nvars, degree))
-            self._monomial_cache[degree] = tuple(m for m in mons if self.ideal is None or not self.ideal.divisible(m))
+            if not 0 <= degree <= EXPONENT_CAP:
+                raise ValueError(f"a degree of {degree} is outside 0..{EXPONENT_CAP}")
+            n = self.nvars
+            keys = [degree << FIELD_BITS * n | degree] if n or not degree else []  # no variable: the constant only
+            for i in range(n - 1, 0, -1):
+                step = (1 << FIELD_BITS * i) - 1  # one unit from x_0's field to x_i's
+                keys = [  # a key with no unit left in x_0's field is complete
+                    j
+                    for k in keys
+                    for j in (range(k + (k & FIELD_MASK) * step, k - 1, -step) if k & FIELD_MASK else (k,))
+                ]
+            self._monomial_cache[degree] = tuple(k for k in keys if self.ideal is None or not self.ideal.divisible(k))
         return self._monomial_cache[degree]
 
     def basis_monomials_up_to(self, degree: int) -> tuple[int, ...]:

@@ -324,6 +324,22 @@ def test_full_and_semi_reduced_insertion_agree_with_the_oracle(m, data):
     assert spanned(cols - k, full.tail(k)) == spanned(cols - k, semi.tail(k))
 
 
+@given(sparse_matrices(), st.booleans())
+@settings(deadline=None, max_examples=20)
+def test_fill_stores_the_whole_space(m, full):
+    cols = len(m[0])
+    rb = RowBasis(cols, full)
+    for row in m:
+        rb.insert(pairs(row))
+    rb.fill()
+    assert rb.rank == cols
+    assert monic(rb) == {j: {j: 1} for j in range(cols)}
+    if full:
+        assert_fully_reduced(rb)
+    assert not rb.insert(pairs(m[0]))
+    assert rb.contains([(j, 1) for j in range(cols)])
+
+
 def test_row_space_intersection_planes():
     a = fr([[1, 0, 0], [0, 1, 0]])
     b = fr([[0, 1, 0], [0, 0, 1]])

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from liepoisson import poisson
-from liepoisson.liealg import LieAlgebra, builtin, is_semisimple, killing_form, validate
+from liepoisson.liealg import LieAlgebra, builtin, is_semisimple, killing_form, lie_algebra_from_dict, validate
 from liepoisson.orbit import OrbitIdeal, builtin_casimir, casimir_orbit, make_orbit
 from liepoisson.poisson import BracketClosureError, PoissonContext, jacobi_defect, leibniz_defect
-from liepoisson.poly import Polynomial, monomials_of_degree, pack, parse_polynomial, unpack
+from liepoisson.poly import EXPONENT_CAP, Polynomial, monomials_of_degree, pack, parse_polynomial, unpack
 
 from oracles import (
     assert_canonical, division_normal_form, graded_lex_key, leibniz_bracket, nonzero_random_polynomial, random_polynomial
@@ -283,6 +283,24 @@ def test_monomials_up_to_concatenate_descending_degree_slices(name):
         free = [m for d in range(bound + 1) for m in monomials_of_degree(n, d)]
         expected = sorted(free, key=graded_lex_key, reverse=True)
         assert [unpack(m, n) for m in PoissonContext.free(ctx.algebra).basis_monomials_up_to(bound)] == expected
+
+
+ABELIAN_CONTEXTS = {
+    f"free-abelian-{dim}": lambda dim=dim: PoissonContext.free(lie_algebra_from_dict({"dim": dim, "basis": ["t"][:dim]}))
+    for dim in (1, 0)
+}
+
+
+@pytest.mark.parametrize("name", [*MONOMIAL_CONTEXTS, *ABELIAN_CONTEXTS])
+def test_basis_monomials_are_the_packed_normal_tuples_in_order(name):
+    # the keys are enumerated as ints; the tuples are the reference
+    ctx = {**MONOMIAL_CONTEXTS, **ABELIAN_CONTEXTS}[name]()
+    for degree in range(9):
+        keys = (pack(m) for m in monomials_of_degree(ctx.nvars, degree))
+        assert ctx.basis_monomials(degree) == tuple(m for m in keys if ctx.ideal is None or not ctx.ideal.divisible(m))
+    for degree in (-1, EXPONENT_CAP + 1):
+        with pytest.raises(ValueError, match="outside"):
+            ctx.basis_monomials(degree)
 
 
 def unfused_defects(ctx, f, g, h):

@@ -14,6 +14,7 @@ from operator import itemgetter
 
 import pytest
 
+from liepoisson import structure
 from liepoisson.liealg import LieAlgebra, builtin
 from liepoisson.linalg import RowBasis
 from liepoisson.orbit import casimir_orbit, make_orbit
@@ -675,6 +676,87 @@ def test_closure_is_closed_against_the_oracles(name):
             assert poisson_ideal_closure(ctx, swapped, bound).rank == closure.rank
 
 
+def test_closure_stops_once_it_holds_one(monkeypatch):
+    # -x+2*y+z holds 1 after the same few admitted rows at every bound, and
+    # then the closure is everything; a closure that went on moving every
+    # stored row made 133 inserts at bound 7 and 4,342 at bound 30.
+    ctx = casimir_orbit(SL2R, 1).context
+    add, calls = RowBasis._add, []
+    monkeypatch.setattr(RowBasis, "_add", lambda self, row: calls.append(row) or add(self, row))
+    counts = []
+    for bound in (7, 30):
+        calls.clear()
+        closure = poisson_ideal_closure(ctx, [sl2("-x + 2*y + z")], bound)
+        assert closure.rank == len(closure.monomials)
+        counts.append(len(calls))
+    assert counts[1] == counts[0]
+
+
+def oracle_fixed_point_closure(algebra, relation, gens, bound):
+    """Rank, whether it holds 1, and whether it is graded, of the closure at
+    the bound on the orbit of ``relation``, by rounds of dense rational
+    elimination until the rank stops growing: each round adds, for every
+    reduced echelon element e, the Leibniz bracket {x_i, e} and, when
+    deg e < bound, x_i * e, both in division normal form.  The columns are
+    the normal monomials, highest degree first, so the elements of degree
+    below the bound span the part of the span below it."""
+    n = algebra.dim
+    lead = max(relation.terms, key=graded_lex_key)
+    columns = [m for d in range(bound, -1, -1) for m in monomials_of_degree(n, d) if not divides(lead, m)]
+    index = {m: j for j, m in enumerate(columns)}
+
+    def dense(polys):
+        rows = []
+        for p in polys:
+            row = [Fraction(0)] * len(columns)
+            for m, c in p.terms.items():
+                row[index[m]] = c
+            rows.append(row)
+        return rows
+
+    rows, rank = dense(gens), None
+    while True:
+        reduced, pivots = rref(rows)
+        if len(pivots) == rank:
+            break
+        rank = len(pivots)
+        basis = [Polynomial(n, {columns[j]: c for j, c in enumerate(row) if c}) for row in reduced[:rank]]
+        if rank == len(columns):  # no move can add to everything
+            break
+        images = []
+        for e in basis:
+            for i in range(n):
+                x = algebra.variable(i)
+                images.append(division_normal_form(leibniz_bracket(algebra, x, e), relation))
+                if e.degree() < bound:
+                    images.append(division_normal_form(Polynomial(n, terms_mul(x.terms, e.terms)), relation))
+        rows = dense(basis + [p for p in images if p])
+    contains_one = rref_rank(dense(basis + [Polynomial.constant(n, 1)])) == rank
+    components = sum(rref_rank(dense([graded_component(e, d) for e in basis])) for d in range(bound + 1))
+    return rank, contains_one, components == rank
+
+
+@pytest.mark.parametrize("algebra,level", [(SL2R, 1), (SL2R, -1), (SL2R, 2), (SO3, 1)],
+                         ids=["sl2r-1", "sl2r--1", "sl2r-2", "so3-1"])
+def test_closure_matches_a_fixed_point_that_never_stops_early(algebra, level):
+    # Seeded generators of degree up to the bound, and a seeded monomial of
+    # the bound's degree, whose closure can stay proper at a low bound.
+    ctx = casimir_orbit(algebra, level).context
+    relation = ctx.ideal.relation
+    rng = random.Random(f"fixed-point-{algebra.name}-{level}")
+    one = Polynomial.constant(3, 1)
+    for bound in range(2, 7):
+        gens, count = [], rng.randint(1, 2)
+        while len(gens) < count:
+            g = nonzero_random_polynomial(rng, 3, rng.randint(1, bound), max_terms=3)
+            if g := division_normal_form(g, relation):
+                gens.append(g)
+        for trial in (gens, [ctx.monomial(rng.choice(ctx.basis_monomials(bound)))]):
+            closure = poisson_ideal_closure(ctx, trial, bound)
+            found = (closure.rank, closure.contains(one), closure.is_graded())
+            assert found == oracle_fixed_point_closure(algebra, relation, trial, bound)
+
+
 def _insert_outside_support_raises(span):
     with pytest.raises(ValueError):
         span.insert(sl2("z^3"))
@@ -882,6 +964,40 @@ def test_homogeneous_ideals_failing_source_gives_the_all_pairs_records():
     assert expected[1]["witness"] == "{y, x*z} = y^2 + 2*x^2 - z"  # {y, x} = z - 1, and z^2 = x^2 + y^2
     assert expected[4] == {"check": "bracket_grading", "degrees": [2, 2], "verdict": "fail",
                            "witness": "{y*z, x*z} = 2*y^2*z + 2*x^2*z - y^2 - x^2"}
+    # every degree fails, so the ideal record comes from a closure
+    assert report.records[-1] == _closure_ideal_record(ctx, 1, bound)
+
+
+def _closure_ideal_record(ctx, k, bound):
+    """The ideal record from the closure of the monomials of degree k to the bound."""
+    gens = [ctx.monomial(m) for d in range(k, bound + 1) for m in ctx.basis_monomials(d)]
+    closure = poisson_ideal_closure(ctx, gens, bound)
+    contains_one, graded = closure.contains(Polynomial.constant(ctx.nvars, 1)), closure.is_graded()
+    proper = closure.rank < len(closure.monomials)
+    return {
+        "check": "ideal",
+        "k": k,
+        "dims": {"ambient": len(closure.monomials), "initial": len(gens), "closed": closure.rank},
+        "contains_one": contains_one,
+        "proper": proper,
+        "graded": graded,
+        "verdict": "pass" if closure.rank == len(gens) and graded and not contains_one and proper else "fail",
+    }
+
+
+@pytest.mark.parametrize("algebra", [SL2R, SO3], ids=["sl2r", "so3"])
+def test_homogeneous_ideals_certified_record_matches_the_closure(algebra, monkeypatch):
+    # On a cone no source leaves its degree, so the record is certified
+    # from the grading records, without a closure.
+    cone = casimir_orbit(algebra, 0)
+    records = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(structure, "poisson_ideal_closure", None)
+        for k in (1, 2, 3):
+            for bound in range(k, 11):
+                records[k, bound] = verify_homogeneous_ideals(cone, k, bound).records[-1]
+    for (k, bound), ideal in records.items():
+        assert ideal == _closure_ideal_record(cone.context, k, bound)
 
 
 def test_homogeneous_ideals_rejects_bad_inputs():
