@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 from .liealg import LieAlgebra, require_lie
 from .poly import (
-    EXPONENT_CAP, FIELD_BITS, FIELD_MASK, Polynomial, add_product, check_degree, format_polynomial, parse_polynomial,
+    FIELD_BITS, FIELD_MASK, Polynomial, add_product, check_degree, format_polynomial, monomial_keys, parse_polynomial,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -124,9 +124,9 @@ class PoissonContext:
 
     def reduce(self, p: Polynomial) -> Polynomial:
         """Normal form modulo the orbit ideal (identity in free mode)."""
-        if self.ideal is None:
-            return p
-        return self.ideal.reduce(p)
+        if p.nvars != self.nvars:
+            raise ValueError("polynomials do not match the context's variables")
+        return p if self.ideal is None else self.ideal.reduce(p)
 
     def normal_numerators(self, num: Mapping[int, int]) -> Mapping[int, int]:
         """Numerators keyed by monomial, zeros allowed, in normal form times a
@@ -196,29 +196,15 @@ class PoissonContext:
         return out
 
     def basis_monomials(self, degree: int) -> tuple[int, ...]:
-        """Keys of the canonical monomials of the given degree, descending.
+        """Keys of the canonical monomials of the given degree, descending:
+        ``poly.monomial_keys``, cached per degree.
 
         In quotient mode only normal-form monomials (those not divisible by
         the relation's leading monomial) are returned, so they enumerate a
         basis of the quotient's degree-``degree`` coefficient space.
-
-        The keys are built as ints, in the order of ``monomials_of_degree``:
-        all of the degree starts in x_0's field, and for each variable from
-        the last down to x_1, a key with r units in x_0's field is followed
-        by those that move r, r - 1, ..., 0 of them to that variable's field.
         """
         if degree not in self._monomial_cache:
-            if not 0 <= degree <= EXPONENT_CAP:
-                raise ValueError(f"a degree of {degree} is outside 0..{EXPONENT_CAP}")
-            n = self.nvars
-            keys = [degree << FIELD_BITS * n | degree] if n or not degree else []  # no variable: the constant only
-            for i in range(n - 1, 0, -1):
-                step = (1 << FIELD_BITS * i) - 1  # one unit from x_0's field to x_i's
-                keys = [  # a key with no unit left in x_0's field is complete
-                    j
-                    for k in keys
-                    for j in (range(k + (k & FIELD_MASK) * step, k - 1, -step) if k & FIELD_MASK else (k,))
-                ]
+            keys = monomial_keys(self.nvars, degree)
             self._monomial_cache[degree] = tuple(k for k in keys if self.ideal is None or not self.ideal.divisible(k))
         return self._monomial_cache[degree]
 

@@ -4,8 +4,8 @@ A polynomial maps monomials to nonzero rational coefficients, stored as
 integer numerators over one positive denominator with no common factor, so
 arithmetic and normal forms work on Python ints, divide out one gcd per
 result, and equality is structural.  The module also provides
-single-divisor normal forms, monomial enumeration, an expression parser
-and a matching printer.
+single-divisor normal forms, the package's one monomial enumerator
+``monomial_keys``, an expression parser and a matching printer.
 
 Inside the package a monomial in n variables is one int, its packed
 exponent vector (Monagan and Pearce, CASC 2007): n + 1 fields of
@@ -35,6 +35,7 @@ x^m, so the recursion ends; it runs on an explicit stack.
 from __future__ import annotations
 
 import re
+import struct
 import sys
 from fractions import Fraction
 from math import gcd, lcm
@@ -64,7 +65,7 @@ def pack(m: Monomial) -> int:
 
 def unpack(key: int, nvars: int) -> Monomial:
     """The exponent tuple of the key of a monomial in ``nvars`` variables."""
-    return tuple(key >> FIELD_BITS * i & FIELD_MASK for i in range(nvars))
+    return struct.unpack_from(f"<{nvars}H", key.to_bytes(2 * nvars + 2, "little"))  # the 16-bit fields, x_0's first
 
 
 class Polynomial:
@@ -347,28 +348,26 @@ class Reducer:
         return acc, scale
 
 
+def monomial_keys(nvars: int, degree: int) -> list[int]:
+    """Keys of the degree-``degree`` monomials in ``nvars`` variables,
+    descending, or ValueError on a degree outside 0..EXPONENT_CAP.  The
+    degree starts in x_0's field; for each variable from the last to x_1, a
+    key with r units there is followed by those moving r, ..., 0 to it."""
+    if not 0 <= degree <= EXPONENT_CAP:
+        raise ValueError(f"a degree of {degree} is outside 0..{EXPONENT_CAP}")
+    keys = [degree << FIELD_BITS * nvars | degree] if nvars or not degree else []  # no variable: the constant only
+    for i in range(nvars - 1, 0, -1):
+        step = (1 << FIELD_BITS * i) - 1  # one unit from x_0's field to x_i's
+        keys = [  # a key with no unit left in x_0's field is complete
+            j for k in keys for j in (range(k + (k & FIELD_MASK) * step, k - 1, -step) if k & FIELD_MASK else (k,))
+        ]
+    return keys
+
+
 def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
-    """All exponent tuples of total degree ``degree``, descending in the order:
-    the last exponent runs down from ``degree``, then the one before it, and
-    so on.  Exponents are placed from the last variable on, without recursion:
-    each entry is (r, *placed), r the degree still to place, and one with
-    r = 0 can only end in zeros, so it is carried over and padded at the end."""
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    if nvars == 0:
-        return [()] if degree == 0 else []
-    entries = [(degree,)]
-    for _ in range(nvars - 1):
-        grown = []
-        for entry in entries:
-            r = entry[0]
-            if r:
-                placed = entry[1:]
-                grown += [(r - e, e) + placed for e in range(r, -1, -1)]
-            else:
-                grown.append(entry)
-        entries = grown
-    return [(0,) * (nvars - len(entry)) + entry for entry in entries]
+    """The exponent tuples of ``monomial_keys``, in its order: the last
+    exponent runs down from ``degree``, then the one before it, and so on."""
+    return [unpack(k, nvars) for k in monomial_keys(nvars, degree)]
 
 
 class PolynomialSyntaxError(ValueError):

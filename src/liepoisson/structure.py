@@ -7,17 +7,18 @@ canonical monomials and one exact ``RowBasis`` over their coefficients.
 ``Span.row`` is the one map from integer numerators keyed by packed
 monomial, as the kernels give them and ``PoissonContext.normal_numerators``
 reduces them on an orbit, to a sparse row for ``RowBasis._add``.  So no
-``Polynomial`` is built between a kernel and the engine: a source {x_i, m} comes from ``PoissonContext.ad_numerators``,
-x_i * row is a shift of the row's keys, and {x_i, row} is one
-``PoissonContext._add_bracket``.  ``insert`` and ``contains`` take a
-polynomial's numerators through the same map, and ``basis`` reads the
-reduced echelon basis back as polynomials.  A claim's subspace is returned
-as the ``Span`` that built it (``derived_span``, ``invariants_basis``,
-``poisson_ideal_closure``), and callers read its verdicts from the span.
-Every bracket span is built from the brackets {x_i, m} with a linear first
-factor, since {f, g} = sum_i {x_i, g * df/dx_i}; on an orbit this holds
-modulo the relation's ideal, which is Poisson.  Reports serialize
-deterministically.
+``Polynomial`` is built between a kernel and the engine: a source {x_i, m}
+is ``PoissonContext.ad_numerators`` in normal form, which a claim maps
+through its span's ``row`` or reads by its keys' degrees, x_i * row is a
+shift of the row's keys, and {x_i, row} is one ``_add_bracket``.
+``insert`` and ``contains`` take a polynomial's numerators through the same
+map, and ``basis`` reads the reduced echelon basis back as polynomials.  A
+claim's subspace is returned as the ``Span`` that built it
+(``derived_span``, ``invariants_basis``, ``poisson_ideal_closure``), and
+callers read its verdicts from the span.  Every bracket span is built from
+the brackets {x_i, m} with a linear first factor, since {f, g} = sum_i
+{x_i, g * df/dx_i}; on an orbit this holds modulo the relation's ideal,
+which is Poisson.  Reports serialize deterministically.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 from bisect import insort
 from enum import Enum
-from itertools import groupby
+from itertools import groupby, product
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -35,7 +36,7 @@ from .liealg import LieAlgebra, killing_rows, nondegenerate
 from .linalg import Row, RowBasis, nullspace, reduce_vector, row_space_intersection, solve_linear
 from .orbit import OrbitDescriptor, OrbitType, builtin_casimir
 from .poisson import PoissonContext
-from .poly import EXPONENT_CAP, Polynomial
+from .poly import EXPONENT_CAP, FIELD_BITS, Polynomial
 
 
 class Membership(Enum):
@@ -70,15 +71,20 @@ class Span:
         except KeyError:
             return None
 
+    def _polynomial_row(self, p: Polynomial) -> Row | None:
+        if p.nvars != self.nvars:
+            raise ValueError("polynomials do not match the context's variables")
+        return self.row(p.num)
+
     def insert(self, p: Polynomial) -> bool:
         """Add ``p``; return True if it enlarged the span."""
-        row = self.row(p.num)
+        row = self._polynomial_row(p)
         if row is None:
             raise ValueError("polynomial has support outside the span's monomials")
         return self.rows._add(row) is not None
 
     def contains(self, p: Polynomial) -> bool:
-        row = self.row(p.num)
+        row = self._polynomial_row(p)
         return row is not None and not self.rows._reduce(row)
 
     def basis(self) -> list[Polynomial]:
@@ -173,9 +179,9 @@ def invariants_basis(algebra: LieAlgebra, degree: int) -> Span:
     return _free_degree_split(PoissonContext.free(algebra), degree)[0]
 
 
-def _bracket_sources(ctx: PoissonContext, span: Span, source_bound: int) -> Iterator[tuple[int, Row]]:
-    """Nonzero reduced brackets {x_i, m} as rows of ``span``, which holds the
-    normal monomials up to the bound, each with its source bound deg m.
+def _bracket_sources(ctx: PoissonContext, source_bound: int) -> Iterator[tuple[int, Mapping[int, int]]]:
+    """Reduced brackets {x_i, m} as numerators keyed by monomial, zeros
+    allowed, from ``ctx.normal_numerators``, each with its source bound deg m.
 
     m runs over the normal monomials with 1 <= deg m <= ``source_bound``
     and x_i over the generators, read from ``ctx.ad_numerators(m)``.  They
@@ -184,12 +190,11 @@ def _bracket_sources(ctx: PoissonContext, span: Span, source_bound: int) -> Iter
     second-derivative terms cancel by antisymmetry).  On an orbit this
     holds modulo the relation's ideal, which is Poisson.
     """
-    row, normal = span.row, ctx.normal_numerators
+    normal = ctx.normal_numerators
     for d in range(1, source_bound + 1):
         for m in ctx.basis_monomials(d):
             for num in ctx.ad_numerators(m):
-                if vec := row(normal(num)):
-                    yield d, vec
+                yield d, normal(num)
 
 
 def derived_span(ctx: PoissonContext, degree: int, source_bound: int) -> Span:
@@ -197,18 +202,15 @@ def derived_span(ctx: PoissonContext, degree: int, source_bound: int) -> Span:
     deg m <= ``source_bound``, which by {f, g} = sum_i {x_i, g * df/dx_i}
     (modulo the Poisson ideal on an orbit) is that of every monomial bracket
     at the bound.  In the free algebra, ``source_bound = degree + 1`` gives
-    the degree slice of {P, P}.  The sources are rows over the monomials
-    up to the larger bound, highest degree first, so a component is one
-    block of columns.  They stop once the span is the whole slice.
+    the degree slice of {P, P}.  A source's component is read from its keys'
+    degree field, and the sources stop once the span is the whole slice.
     """
-    top = Span(ctx.basis_monomials_up_to(max(degree, source_bound)), ctx.nvars)
     span = Span(ctx.basis_monomials(degree), ctx.nvars)
-    size = len(span.monomials)
-    lo = len(top.monomials) - len(ctx.basis_monomials_up_to(degree))
-    for _, row in _bracket_sources(ctx, top, source_bound):
+    size, row, shift = len(span.monomials), span.row, FIELD_BITS * ctx.nvars
+    for _, num in _bracket_sources(ctx, source_bound):
         if span.rank == size:
             break
-        span.rows._add({c - lo: a for c, a in row.items() if 0 <= c - lo < size})
+        span.rows._add(row({m: a for m, a in num.items() if m >> shift == degree}))
     return span
 
 
@@ -235,9 +237,9 @@ def _entry_bound(ctx: PoissonContext, target: Polynomial, source_bound: int) -> 
     span = Span(ctx.basis_monomials_up_to(max(source_bound, target.degree())), ctx.nvars, full=True)
     if span.contains(target):
         return 0
-    for bound, group in groupby(_bracket_sources(ctx, span, source_bound), key=itemgetter(0)):
-        for _, row in group:
-            span.rows._add(row)
+    for bound, group in groupby(_bracket_sources(ctx, source_bound), key=itemgetter(0)):
+        for _, num in group:
+            span.rows._add(span.row(num))
         if span.contains(target):
             return bound
     return None
@@ -590,33 +592,30 @@ def verify_homogeneous_ideals(orbit: OrbitDescriptor, k: int, degree_bound: int)
         raise ValueError("orbit relation is not homogeneous; the quotient is not graded")
     report = _orbit_report("nilpotent-ideals", ctx, k=k, degree_bound=degree_bound)
 
-    monomials = {d: [ctx.monomial(m) for m in ctx.basis_monomials(d)] for d in range(1, degree_bound + 1)}
     # {p_a, p_b} = sum_i dp_a/dx_i {x_i, p_b} over the normal linear x_i (a
     # normal p_a has no other), and the normal form of a homogeneous
     # polynomial is homogeneous of its degree.  So a record (a, b) holds once
     # the sources {x_i, m} with deg m = b are homogeneous of degree b, and
     # only for a failing b are the pairs of a record searched for a witness.
-    top = Span(ctx.basis_monomials_up_to(degree_bound), ctx.nvars)
-    degree = [d for d in range(degree_bound, -1, -1) for _ in ctx.basis_monomials(d)]  # of each column of top
-    failing = {b for b, row in _bracket_sources(ctx, top, degree_bound) if any(degree[c] != b for c in row)}
+    shift = FIELD_BITS * ctx.nvars
+    failing = {b for b, num in _bracket_sources(ctx, degree_bound) if any(m >> shift != b for m in num if num[m])}
     for a in range(1, degree_bound + 1):
         for b in range(a, degree_bound + 2 - a):
-            brackets = ((pa, pb, ctx.bracket(pa, pb)) for pa in monomials[a] for pb in monomials[b])
-            bad = None if b not in failing else next(
-                (t for t in brackets if t[2] and (not t[2].is_homogeneous() or t[2].degree() != a + b - 1)),
-                None,
-            )
+            pairs = product(ctx.basis_monomials(a), ctx.basis_monomials(b)) if b in failing else ()
+            brackets = ((pa, pb, ctx.bracket(pa, pb)) for pa, pb in (map(ctx.monomial, t) for t in pairs))
+            bad = next((t for t in brackets if any(m >> shift != a + b - 1 for m in t[2].num)), None)
             record = {"check": "bracket_grading", "degrees": [a, b], "verdict": "pass" if bad is None else "fail"}
             if bad is not None:
                 fa, fb, fbr = map(ctx.format, bad)
                 record["witness"] = f"{{{fa}, {fb}}} = {fbr}"
             report.records.append(record)
 
-    gens = [p for d in range(k, degree_bound + 1) for p in monomials[d]]
-    initial_rank, ambient = len(gens), len(top.monomials)
+    initial_rank = sum(len(ctx.basis_monomials(d)) for d in range(k, degree_bound + 1))
+    ambient = len(ctx.basis_monomials_up_to(degree_bound))
     if failing.isdisjoint(range(k, degree_bound + 1)):
         closed, contains_one, graded = initial_rank, False, True
     else:
+        gens = [ctx.monomial(m) for d in range(k, degree_bound + 1) for m in ctx.basis_monomials(d)]
         span = poisson_ideal_closure(ctx, gens, degree_bound)
         closed, graded = span.rank, span.is_graded()
         contains_one = span.contains(Polynomial.constant(ctx.nvars, 1))

@@ -16,6 +16,7 @@ from liepoisson.poly import (
     PolynomialSyntaxError,
     Reducer,
     format_polynomial,
+    monomial_keys,
     monomials_of_degree,
     pack,
     parse_polynomial,
@@ -312,6 +313,15 @@ def test_monomial_enumeration_counts():
         for degree in range(6 if nvars < 5 else 4):
             box = [m for m in itertools.product(range(degree + 1), repeat=nvars) if sum(m) == degree]
             assert monomials_of_degree(nvars, degree) == sorted(box, key=graded_lex_key, reverse=True)
+
+
+def test_monomial_keys_refuse_a_degree_outside_the_cap():
+    for degree in (-1, EXPONENT_CAP + 1):
+        for enumerate_degree in (monomial_keys, monomials_of_degree):
+            with pytest.raises(ValueError, match="outside 0..32767"):
+                enumerate_degree(3, degree)
+    assert monomial_keys(1, EXPONENT_CAP) == [pack((EXPONENT_CAP,))]
+    assert monomial_keys(0, 0) == [0] and monomial_keys(0, 1) == []
 
 
 def test_monomial_enumeration_does_not_recurse_per_variable():

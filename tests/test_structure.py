@@ -224,10 +224,11 @@ def test_pair_span_equals_bracket_sources_per_bound(name):
             rows.insert([(index[m], int(c * scale)) for m, c in t.items()])
         return rows.reduced_rows()
 
-    # the sources are exactly the nonzero {x_i, m} over every generator x_i
-    # and normal m, as rows over the normal monomials up to the top bound;
-    # a row is the normal form up to a nonzero factor, so the terms are
-    # compared over their first coefficient
+    # the sources are exactly the {x_i, m} over every generator x_i and
+    # normal m, as numerators; mapped through the rows of the normal
+    # monomials up to the top bound, the nonzero ones are the normal forms up
+    # to a nonzero factor, so the terms are compared over their first
+    # coefficient
     def key(bound, terms):
         items = sorted(terms.items())
         return bound, tuple((m, c / items[0][1]) for m, c in items)
@@ -245,10 +246,14 @@ def test_pair_span_equals_bracket_sources_per_bound(name):
             br = reduced(leibniz_bracket(ctx.algebra, ctx.algebra.variable(i), Polynomial.monomial(n, m)))
             if br:
                 expected[key(sum(m), br.terms)] += 1
-    all_sources = list(_bracket_sources(ctx, span, top))
+
+    def rows(bound):
+        return [(b, row) for b, num in _bracket_sources(ctx, bound) if (row := span.row(num))]
+
+    all_sources = rows(top)
     assert Counter(key(b, source_terms(row)) for b, row in all_sources) == expected
     for bound in range(top + 1):
-        sources = list(_bracket_sources(ctx, span, bound))
+        sources = rows(bound)
         assert sources == [s for s in all_sources if s[0] <= bound]
         assert all(row and all(type(a) is int and a for a in row.values()) for _, row in sources)
         assert row_span(source_terms(row) for _, row in sources) == row_span(
@@ -287,12 +292,13 @@ def oracle_filtered_split(ctx, top):
 
 def filtered_split(ctx, top):
     """(|P_b|, rank B_b, whether 1 is in B_b) for b = 1..top, with B_b grown
-    in bound order from the rows of _bracket_sources."""
+    in bound order from the sources of _bracket_sources as rows of the span."""
     span = Span(ctx.basis_monomials_up_to(top), ctx.nvars, full=True)
     out = []
-    for b, group in groupby(_bracket_sources(ctx, span, top), key=itemgetter(0)):
-        for _, row in group:
-            span.rows._add(row)
+    for b, group in groupby(_bracket_sources(ctx, top), key=itemgetter(0)):
+        for _, num in group:
+            if row := span.row(num):
+                span.rows._add(row)
         out.append((len(ctx.basis_monomials_up_to(b)), span.rank, span.contains(Polynomial.constant(ctx.nvars, 1))))
     return out
 
@@ -998,6 +1004,49 @@ def test_homogeneous_ideals_certified_record_matches_the_closure(algebra, monkey
                 records[k, bound] = verify_homogeneous_ideals(cone, k, bound).records[-1]
     for (k, bound), ideal in records.items():
         assert ideal == _closure_ideal_record(cone.context, k, bound)
+
+
+@pytest.mark.parametrize("algebra", [SL2R, SO3], ids=["sl2r", "so3"])
+def test_homogeneous_ideals_build_no_polynomial_when_no_source_fails(algebra, monkeypatch):
+    # On a cone no source leaves its degree, so every record is read from
+    # the keys of the sources and the monomial counts: no monomial is built
+    # as a polynomial, nothing is bracketed and no span is made.
+    cone = casimir_orbit(algebra, 0)
+    expected = {(k, bound): verify_homogeneous_ideals(cone, k, bound).records for k in (1, 2) for bound in range(k, 9)}
+
+    def refuse(*args):
+        raise AssertionError("called on a cone whose sources keep their degrees")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PoissonContext, "monomial", refuse)
+        patch.setattr(PoissonContext, "bracket", refuse)
+        patch.setattr(structure, "Span", refuse)
+        for (k, bound), records in expected.items():
+            assert verify_homogeneous_ideals(cone, k, bound).records == records
+
+
+@pytest.mark.parametrize("nvars", [2, 4])
+def test_another_variable_count_is_refused(nvars):
+    # In free mode nothing reduces a polynomial, so without the check a span
+    # would read another count's keys as its own: x in two variables would
+    # miss the bracket span of sl2r at bound 2, though x = {y, z}, and the
+    # closure of y would have rank 0 of 20.
+    x, y = Polynomial.variable(nvars, 0), Polynomial.variable(nvars, 1)
+    span = Span(FREE_SL2R.basis_monomials_up_to(2), 3)
+    for ctx in (FREE_SL2R, casimir_orbit(SL2R, 1).context):
+        calls = [
+            lambda: ctx.reduce(x),
+            lambda: derived_membership(ctx, x, 2),
+            lambda: poisson_ideal_closure(ctx, [y], 3),
+            lambda: ideal_square_check(ctx, [x], 2),
+            lambda: span.insert(x),
+            lambda: span.contains(x),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="do not match the context's variables"):
+                call()
+    assert span.rank == 0
+    assert derived_membership(FREE_SL2R, SL2R.variable(0), 2) is Membership.IN_SPAN
 
 
 def test_homogeneous_ideals_rejects_bad_inputs():
